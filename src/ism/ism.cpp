@@ -299,7 +299,6 @@ void Ism::on_connection_writable(int fd) {
 }
 
 void Ism::update_write_interest(int fd, Connection& conn) {
-  if (!config_.readiness_pump) return;  // legacy: idle-cycle walk pumps
   const bool want = !conn.outbox.empty() && !conn.closing;
   if (want == conn.want_writable) return;
   conn.want_writable = want;
@@ -312,7 +311,8 @@ void Ism::update_write_interest(int fd, Connection& conn) {
                                [this](int ready_fd, net::Readiness) {
                                  on_connection_writable(ready_fd);
                                });
-      if (!st) conn.want_writable = false;  // idle pump is the fallback
+      // The next send_frame retries the watch.
+      if (!st) conn.want_writable = false;
     } else {
       (void)loop_->unwatch(fd);
     }
@@ -328,7 +328,6 @@ bool Ism::send_failure_is_fatal(Connection& conn, const Status& st) {
   // socket is alive. Give it the stall grace period before reaping.
   const TimeMicros now = monotonic_micros();
   if (conn.outbox_full_since == 0) conn.outbox_full_since = now;
-  if (config_.outbox_stall_timeout_us == 0) return true;  // legacy: reap now
   return now - conn.outbox_full_since >= config_.outbox_stall_timeout_us;
 }
 
@@ -484,18 +483,11 @@ Status Ism::dispatch_frame(Connection& conn, ByteSpan payload) {
     case tp::MsgType::hello: {
       auto hello = tp::decode_hello(decoder);
       if (!hello) return hello.status();
-      if (hello.value().version < tp::kMinProtocolVersion ||
-          hello.value().version > tp::kProtocolVersion) {
+      if (hello.value().version != tp::kProtocolVersion) {
         return Status(Errc::unsupported, "protocol version mismatch");
       }
       const bool ordered_stream =
           (hello.value().capabilities & tp::kCapabilityOrderedStream) != 0;
-      if (ordered_stream && hello.value().version < tp::kCreditProtocolVersion) {
-        // The ordered-stream fast path leans on the credit window for
-        // boundedness; a relay that cannot pace has no business bypassing
-        // the sorter shards.
-        return Status(Errc::unsupported, "ordered-stream capability requires v3");
-      }
       if (nodes_.count(hello.value().node) != 0) {
         // A live connection already owns this node id. Dead-but-unclosed
         // predecessors are reaped by the idle timeout, after which the
@@ -503,7 +495,6 @@ Status Ism::dispatch_frame(Connection& conn, ByteSpan payload) {
         return Status(Errc::already_exists, "node id already connected");
       }
       conn.node = hello.value().node;
-      conn.version = hello.value().version;
       conn.hello_seen = true;
       if (config_.flow_control_rate_per_sec > 0.0) {
         conn.flow_control = std::make_unique<TokenBucket>(config_.flow_control_rate_per_sec,
@@ -606,17 +597,6 @@ Status Ism::dispatch_frame(Connection& conn, ByteSpan payload) {
 }
 
 bool Ism::admit_batch_seq(const Connection& conn, NodeSession& session, std::uint32_t seq) {
-  if (!resilient()) {
-    // v1-style accounting: every discontinuity is an immediately declared
-    // gap and the cursor follows the sender.
-    if (seq != session.next_batch_seq) {
-      bump(stats_.batch_seq_gaps);
-      BRISK_LOG_WARN << "node " << conn.node << " batch seq gap: expected "
-                     << session.next_batch_seq << ", got " << seq;
-    }
-    session.next_batch_seq = seq + 1;
-    return true;
-  }
   if (seq == session.next_batch_seq) {
     session.next_batch_seq = seq + 1;
     session.hole_since = 0;
@@ -748,7 +728,6 @@ void Ism::idle_work() {
   maybe_emit_metrics();
   pipeline_->service();
   session_sweep();
-  pump_outboxes();
   if (extra_sync_requested_.exchange(false, std::memory_order_acq_rel) && sync_service_) {
     sync_service_->request_extra_round();
   }
@@ -835,26 +814,6 @@ void Ism::emit_metrics_snapshot() {
   }
 }
 
-void Ism::pump_outboxes() {
-  // Readiness-driven mode: connections with deferred bytes hold a writable
-  // subscription and pump from on_connection_writable, so the idle cycle
-  // has no per-connection outbox work at all — this walk only exists for
-  // the legacy mode (and the bench comparison against it).
-  if (config_.readiness_pump) return;
-  std::vector<int> failed;
-  for (auto& [fd, conn] : connections_) {
-    if (conn.outbox.empty() || conn.closing) continue;
-    Status st = conn.outbox.pump(conn.socket);
-    if (!st && send_failure_is_fatal(conn, st)) {
-      BRISK_LOG_WARN << "outbox to node " << conn.node << " failed: " << st.to_string();
-      failed.push_back(fd);
-      continue;
-    }
-    if (conn.outbox.empty()) conn.outbox_full_since = 0;
-  }
-  for (int fd : failed) close_connection(fd);
-}
-
 Status Ism::send_frame(Connection& conn, ByteSpan payload) {
   // Through the per-connection outbox: a full kernel send buffer leaves the
   // unwritten tail queued (pumped on writable readiness) instead of tearing
@@ -912,12 +871,9 @@ void Ism::retire_drained_counter(NodeId node) {
 
 Status Ism::send_ack(Connection& conn, tp::MsgType type) {
   NodeSession& session = sessions_[conn.node];
-  // Grants piggyback on both ack shapes, but only towards peers that speak
-  // the credit extension — a v2 EXS gets byte-identical v2 acks.
-  const bool grant_credits =
-      credits_enabled() && conn.version >= tp::kCreditProtocolVersion;
+  // Grants piggyback on both ack shapes.
   std::optional<tp::CreditGrant> credit;
-  if (grant_credits) {
+  if (credits_enabled()) {
     credit = build_credit_grant(session);
     session.last_granted_records = credit->window_records;
     bump(stats_.credit_grants_sent);
@@ -972,40 +928,37 @@ void Ism::session_sweep() {
   // Periodic BATCH_ACKs to every live session: they trim the EXS replay
   // buffers, double as an ISM-is-alive signal, and a repeated cursor is
   // what triggers the EXS's go-back-N resend.
-  if (resilient()) {
-    std::vector<int> failed;
-    for (auto& [fd, conn] : connections_) {
-      if (!conn.hello_seen || conn.closing) continue;
-      TimeMicros period = config_.ack_period_us;
-      if (credits_enabled() && config_.credit_replenish_us > 0 &&
-          config_.credit_replenish_us < period &&
-          conn.version >= tp::kCreditProtocolVersion) {
-        // A below-full grant means the node has in-pipeline backlog — its
-        // EXS may be window-stalled right now, and the re-grant on the next
-        // ack is the only thing that reopens it. Ack faster until the
-        // window is back to full.
-        const auto sit = sessions_.find(conn.node);
-        if (sit != sessions_.end() &&
-            sit->second.last_granted_records < config_.credit_window_records) {
-          period = config_.credit_replenish_us;
-        }
-      }
-      if (now - conn.last_ack_sent_us < period) continue;
-      Status st = send_ack(conn, tp::MsgType::batch_ack);
-      if (!st && send_failure_is_fatal(conn, st)) {
-        // A genuine socket error, or the outbox has been wedged at its cap
-        // past the stall grace period. Acks are cumulative, so a transient
-        // buffer_full just skips this ack — the next sweep retries against
-        // an outbox the writable pump has meanwhile drained. Only a peer
-        // that stays wedged (or a dead socket) is dropped; the EXS's
-        // reconnect + replay recovers cleanly.
-        BRISK_LOG_WARN << "batch_ack to node " << conn.node
-                       << " failed: " << st.to_string();
-        failed.push_back(fd);
+  std::vector<int> failed;
+  for (auto& [fd, conn] : connections_) {
+    if (!conn.hello_seen || conn.closing) continue;
+    TimeMicros period = config_.ack_period_us;
+    if (credits_enabled() && config_.credit_replenish_us > 0 &&
+        config_.credit_replenish_us < period) {
+      // A below-full grant means the node has in-pipeline backlog — its
+      // EXS may be window-stalled right now, and the re-grant on the next
+      // ack is the only thing that reopens it. Ack faster until the
+      // window is back to full.
+      const auto sit = sessions_.find(conn.node);
+      if (sit != sessions_.end() &&
+          sit->second.last_granted_records < config_.credit_window_records) {
+        period = config_.credit_replenish_us;
       }
     }
-    for (int fd : failed) close_connection(fd);
+    if (now - conn.last_ack_sent_us < period) continue;
+    Status st = send_ack(conn, tp::MsgType::batch_ack);
+    if (!st && send_failure_is_fatal(conn, st)) {
+      // A genuine socket error, or the outbox has been wedged at its cap
+      // past the stall grace period. Acks are cumulative, so a transient
+      // buffer_full just skips this ack — the next sweep retries against
+      // an outbox the writable pump has meanwhile drained. Only a peer
+      // that stays wedged (or a dead socket) is dropped; the EXS's
+      // reconnect + replay recovers cleanly.
+      BRISK_LOG_WARN << "batch_ack to node " << conn.node
+                     << " failed: " << st.to_string();
+      failed.push_back(fd);
+    }
   }
+  for (int fd : failed) close_connection(fd);
 
   // Reader drained-record rates decay by half every period, so placement
   // follows recent traffic and an old burst cannot pin a reader forever.
@@ -1043,8 +996,7 @@ void Ism::maybe_migrate_connection(TimeMicros now) {
     return;
   }
   if (++imbalance_streak_ < kSustainedImbalancePeriods) return;
-  if (config_.ack_period_us > 0 && last_migration_us_ != 0 &&
-      now - last_migration_us_ < config_.ack_period_us) {
+  if (last_migration_us_ != 0 && now - last_migration_us_ < config_.ack_period_us) {
     return;
   }
   std::vector<std::pair<int, double>> candidates;

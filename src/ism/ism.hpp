@@ -47,17 +47,11 @@ struct IsmConfig {
   TimeMicros select_timeout_us = 40'000;
   /// Poller backend for the main loop and any reader threads.
   net::PollerBackend poller = net::PollerBackend::select;
-  /// Readiness-driven outbox pumping: a connection subscribes to
-  /// Readiness::writable only while its outbox holds deferred bytes (the
-  /// same want-writable toggling the consumer gateway does), so idle cycles
-  /// do no per-connection outbox work at all. false restores the legacy
-  /// walk-every-connection pump on every idle cycle (bench comparison).
-  bool readiness_pump = true;
   /// How long a connection may sit with its outbox at the cap
   /// (Errc::buffer_full on sends) before it is reaped. An overloaded but
   /// alive peer that starts reading again within the grace period keeps its
   /// connection; only a peer that stays wedged past it is torn down.
-  /// 0 = reap on the first buffer_full (the old behaviour).
+  /// 0 = reap on the first buffer_full.
   TimeMicros outbox_stall_timeout_us = 2'000'000;
   /// Per-connection outbound frame buffer cap (acks/sync frames deferred by
   /// a full kernel send buffer). Tests shrink it to exercise the stall path
@@ -108,9 +102,8 @@ struct IsmConfig {
   /// 0 expires immediately on disconnect.
   TimeMicros quarantine_timeout_us = 5'000'000;
   /// BATCH_ACK cadence towards each connected EXS. Acks drive the EXS's
-  /// replay-buffer trimming and its go-back-N resend on loss. 0 disables
-  /// acks and with them the dedupe/hole handling (legacy v1-style gap
-  /// accounting applies instead).
+  /// replay-buffer trimming and its go-back-N resend on loss. Must be > 0
+  /// (ManagerConfig::validate rejects 0).
   TimeMicros ack_period_us = 200'000;
   /// A batch-sequence hole older than this is declared lost (counted in
   /// batch_seq_gaps) and the cursor jumps forward — the EXS evicted the
@@ -118,11 +111,11 @@ struct IsmConfig {
   TimeMicros gap_skip_timeout_us = 1'000'000;
 
   // --- credit-based flow control ---------------------------------------------
-  /// Per-connection record window granted on every ack to v3+ peers
+  /// Per-connection record window granted on every ack
   /// (--ism-credit-records). The grant is the configured window minus the
   /// node's in-pipeline backlog, so a slow pipeline shrinks the window and
   /// the EXS pacer parks batches instead of blasting into a blocked socket.
-  /// 0 disables credit grants entirely (acks stay v2-shaped on the wire).
+  /// 0 disables credit grants entirely (acks carry no credit tail).
   std::uint32_t credit_window_records = 0;
   /// Byte window granted alongside (--ism-credit-bytes); 0 = uncapped.
   std::uint64_t credit_window_bytes = 0;
@@ -231,18 +224,15 @@ class Ism {
     /// frame instead of tearing it mid-write (the EXS-side equivalent is
     /// the replay buffer + reconnect).
     net::FrameSendBuffer outbox;
-    /// Whether this connection currently subscribes to Readiness::writable
-    /// (readiness_pump mode): toggled on when the outbox defers bytes,
-    /// off once it drains — same pattern as the gateway's subscriptions.
+    /// Whether this connection currently subscribes to Readiness::writable:
+    /// toggled on when the outbox defers bytes, off once it drains — same
+    /// pattern as the gateway's subscriptions.
     bool want_writable = false;
     /// Monotonic time the outbox first rejected a frame (Errc::buffer_full);
     /// 0 while the peer keeps up. A stall past outbox_stall_timeout_us is
     /// what reaps the connection, not the first rejection.
     TimeMicros outbox_full_since = 0;
     NodeId node = 0;
-    /// Negotiated protocol version from the peer's HELLO; grants are only
-    /// appended to acks for peers that understand them (v3+).
-    std::uint32_t version = tp::kProtocolVersion;
     bool hello_seen = false;
     bool saw_bye = false;             // clean shutdown: expire the session now
     TimeMicros last_rx_us = 0;        // monotonic, any inbound bytes
@@ -325,10 +315,10 @@ class Ism {
   /// Installs the poller registration for an inline-mode connection with
   /// the interest matching its current want_writable state.
   Status watch_connection(int fd);
-  /// Reconciles the connection's poller subscription with its outbox state
-  /// (readiness_pump mode; no-op otherwise). Inline mode upserts the
-  /// combined readable[|writable] interest on the main loop; threaded mode
-  /// adds/removes a writable-only watch (the reader threads own readable).
+  /// Reconciles the connection's poller subscription with its outbox state.
+  /// Inline mode upserts the combined readable[|writable] interest on the
+  /// main loop; threaded mode adds/removes a writable-only watch (the reader
+  /// threads own readable).
   void update_write_interest(int fd, Connection& conn);
   /// Classifies a failed send/pump: true for genuine socket errors and for
   /// buffer_full stalls that have outlived the grace period; false for a
@@ -361,7 +351,7 @@ class Ism {
   Status send_frame(Connection& conn, ByteSpan payload);
   // --- credit-based flow control ---------------------------------------------
   [[nodiscard]] bool credits_enabled() const noexcept {
-    return config_.credit_window_records > 0 && resilient();
+    return config_.credit_window_records > 0;
   }
   /// The grant appended to an ack: configured window minus the node's
   /// in-pipeline backlog (clamped at zero — never a negative window).
@@ -378,10 +368,6 @@ class Ism {
   /// reader's `closed` event (see ingest.hpp's fd ownership protocol).
   void close_connection(int fd);
   void finish_close(int fd);
-  /// Flushes pending outbound bytes on every connection; a connection whose
-  /// outbox fails (peer stopped reading past the cap, or a real I/O error)
-  /// is torn down — the EXS's reconnect + replay covers the loss.
-  void pump_outboxes();
   /// Emits the periodic one-line stats log when --stats-interval is on.
   /// Composed from the metrics snapshot (the log is just another consumer).
   void maybe_log_stats();
@@ -398,7 +384,6 @@ class Ism {
   void process_ingest_event(int fd, IngestEvent event);
   /// fd of the index-th connected node (ordered by node id), or -1.
   int node_fd_by_index(std::size_t index) const;
-  [[nodiscard]] bool resilient() const noexcept { return config_.ack_period_us > 0; }
 
   IsmConfig config_;
   clk::Clock& clock_;

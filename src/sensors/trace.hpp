@@ -34,7 +34,7 @@ enum class TraceStage : std::uint8_t {
   sorter_release = 5,  // shard's on-line sorter released it (order-safe)
   merge_release = 6,   // k-way merge released it into global order
   cre_pass = 7,        // CRE matcher passed it through
-  sink_delivery = 8,   // handed to the sink registry
+  sink_delivery = 8,   // handed to the output sink
 };
 
 inline constexpr std::size_t kTraceStageCount = 9;

@@ -464,7 +464,7 @@ void encode_credit(const CreditGrant& grant, xdr::Encoder& encoder) {
 }
 
 /// Decodes the optional trailing credit extension of an ack frame. An ack
-/// that ends after its base fields has no grant (v2 peer, or credits off);
+/// that ends after its base fields has no grant (credits off);
 /// once any extension bytes are present the grant must be complete — a
 /// truncated grant is a malformed frame, not an absent one.
 Result<std::optional<CreditGrant>> decode_credit_tail(xdr::Decoder& decoder) {

@@ -25,9 +25,8 @@
 // HELLO_ACK or BATCH_ACK may carry a trailing CreditGrant naming how many
 // records and bytes the EXS may keep in flight (sent but unacknowledged)
 // beyond the ack's cursor. The extension is length-delimited by the frame:
-// a v2 ack simply ends after its base fields, so v2 peers interoperate
-// unchanged — the ISM only appends grants for peers that said hello with
-// version >= 3, and an EXS that never receives one paces nothing.
+// with credits off the ISM's acks simply end after their base fields, and
+// an EXS that never receives a grant paces nothing.
 //
 // Federation (relay tier): a relay ISM presents itself to its parent as an
 // EXS-shaped peer whose HELLO carries a trailing capability word with the
@@ -52,12 +51,8 @@
 
 namespace brisk::tp {
 
+/// The only version the ISM accepts; a HELLO carrying any other is refused.
 inline constexpr std::uint32_t kProtocolVersion = 3;
-/// Oldest peer version the ISM still accepts (v2: resilience without
-/// credit-based flow control).
-inline constexpr std::uint32_t kMinProtocolVersion = 2;
-/// First version whose acks may carry a credit grant.
-inline constexpr std::uint32_t kCreditProtocolVersion = 3;
 
 enum class MsgType : std::uint32_t {
   hello = 1,       // EXS → ISM: node id, version, incarnation
@@ -100,8 +95,8 @@ struct Hello {
   /// unique value at startup.
   std::uint64_t incarnation = 0;
   /// Optional trailing capability word. Encoded only when non-zero, so a
-  /// capability-free HELLO is byte-identical to the v2/v3 form; absent on
-  /// the wire decodes as 0.
+  /// plain EXS HELLO carries no capability word; absent on the wire decodes
+  /// as 0.
   std::uint32_t capabilities = 0;
 };
 
@@ -125,7 +120,7 @@ struct CreditGrant {
 struct HelloAck {
   std::uint64_t incarnation = 0;        // echo of the accepted HELLO
   std::uint32_t next_expected_seq = 0;  // first batch_seq the ISM wants
-  /// v3 flow control; absent from/for v2 peers and when credits are off.
+  /// Flow-control grant; absent when credits are off.
   std::optional<CreditGrant> credit;
 };
 
@@ -133,7 +128,7 @@ struct BatchAck {
   /// All batches with batch_seq < next_expected_seq have been accepted;
   /// anything at or above it is still outstanding from the ISM's view.
   std::uint32_t next_expected_seq = 0;
-  /// v3 flow control; absent from/for v2 peers and when credits are off.
+  /// Flow-control grant; absent when credits are off.
   std::optional<CreditGrant> credit;
 };
 

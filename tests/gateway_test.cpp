@@ -1,13 +1,12 @@
 // Consumer-gateway tests: filter parse/pushdown semantics, the new consumer
-// wire messages, SinkRegistry mutation-vs-delivery safety, in-process
-// subscription equivalence, aggregation windows, and the TCP fan-out path
-// with its slow-consumer (drop-oldest + eviction) policy.
+// wire messages, in-process subscription equivalence, aggregation windows,
+// and the TCP fan-out path with its slow-consumer (drop-oldest + eviction)
+// policy.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/time_util.hpp"
@@ -193,7 +192,7 @@ TEST(ConsumerWire, AggWindowRoundTrip) {
   EXPECT_EQ(back.value(), window);
 }
 
-// ---- SinkRegistry mutation vs delivery (the remove() race regression) --------
+// ---- in-process subscriptions ------------------------------------------------
 
 class CountingSink final : public ism::Sink {
  public:
@@ -209,40 +208,6 @@ class CountingSink final : public ism::Sink {
  private:
   std::atomic<std::uint64_t> count_{0};
 };
-
-TEST(SinkRegistry, AddRemoveSafeAgainstConcurrentDelivery) {
-  // Pre-fix, remove() erased from the same vector accept() was iterating on
-  // the merger thread — a use-after-free under churn. The registry now swaps
-  // COW snapshots; this hammers delivery while sinks come and go.
-  ism::SinkRegistry registry;
-  auto stable = std::make_shared<CountingSink>();
-  ASSERT_TRUE(registry.add("stable", stable));
-
-  std::atomic<bool> stop{false};
-  std::thread delivery([&] {
-    const Record record = make_record(1, 1, 1);
-    while (!stop.load(std::memory_order_acquire)) {
-      (void)registry.accept(record);
-      (void)registry.flush();
-    }
-  });
-  for (int round = 0; round < 2'000; ++round) {
-    const std::string name = "churn-" + std::to_string(round % 7);
-    (void)registry.add(name, std::make_shared<CountingSink>());
-    (void)registry.remove(name);
-  }
-  // Under load the delivery thread may not have been scheduled yet; make
-  // sure it observed at least one snapshot before stopping.
-  const TimeMicros deadline = monotonic_micros() + 10'000'000;
-  while (stable->count() == 0 && monotonic_micros() < deadline) sleep_micros(100);
-  stop.store(true, std::memory_order_release);
-  delivery.join();
-  EXPECT_GT(stable->count(), 0u);
-  EXPECT_EQ(registry.sink_count(), 1u);
-  EXPECT_FALSE(registry.remove("churn-0"));
-}
-
-// ---- in-process subscriptions ------------------------------------------------
 
 std::shared_ptr<ConsumerGateway> make_local_gateway() {
   GatewayConfig config;  // tcp disabled

@@ -453,6 +453,11 @@ TEST(IntegrationTest, ConfigValidationRejectsBadKnobs) {
 
   NodeConfig no_name;
   EXPECT_EQ(BriskNode::attach(no_name).status().code(), Errc::invalid_argument);
+
+  // There is no ack-less session mode: a zero ack period is a bad value.
+  ManagerConfig no_acks;
+  no_acks.ism.ack_period_us = 0;
+  EXPECT_EQ(no_acks.validate().code(), Errc::invalid_argument);
 }
 
 TEST(IntegrationTest, DescribeRendersKnobs) {
