@@ -47,8 +47,8 @@
 #      and data-race-adjacent bugs actually surface
 #  12. tsan: a TSan tree over the threaded ingest/ordering/metrics/trace
 #      tests plus the flow-control property suite, the consumer-gateway
-#      suite, the federation suite (relay lanes, reader migration,
-#      two-hop sync, metrics aggregation), and the flight-recorder and
+#      suite, the federation suite (relay lanes, two-hop sync, metrics
+#      aggregation), and the flight-recorder and
 #      health-rollup suites — the cross-thread stats counters, the credit
 #      drained-record cells, the relay lane cells, and the gateway's
 #      fan-out thread must stay clean on the whole grid
@@ -503,6 +503,6 @@ echo "==> [12/12] TSan build + ingest/ordering/metrics/trace/gateway/federation 
 cmake -B build-tsan -S . -DBRISK_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$JOBS"
 ctest --test-dir build-tsan --output-on-failure --no-tests=error -j"$JOBS" \
-  -R 'IsmServerTest|IsmIngestDeterminismTest|OrderingPipelineTest|Metrics|Trace|FlowControl|CreditGrant|Gateway|RelayFederation|ReaderMigration|FederatedSync|FlightRecorder|HealthRollup|RelayAggregation'
+  -R 'IsmServerTest|IsmIngestDeterminismTest|OrderingPipelineTest|Metrics|Trace|FlowControl|CreditGrant|Gateway|RelayFederation|FederatedSync|FlightRecorder|HealthRollup|RelayAggregation'
 
 echo "==> CI green"

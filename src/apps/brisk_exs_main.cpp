@@ -57,7 +57,6 @@ brisk::apps::FlagRegistry make_registry() {
       .add_int("select-timeout-us", 40'000, "poll cycle timeout in microseconds")
       .add_int("replay-batches", 256, "replay buffer cap in batches")
       .add_int("replay-bytes", 0, "replay buffer cap in bytes (0 = unlimited)")
-      .add_bool("exs-pace", true, "honour ISM credit grants (pace sends to the granted window)")
       .add_int("backoff-base-us", 50'000, "reconnect backoff base")
       .add_int("backoff-cap-us", 5'000'000, "reconnect backoff ceiling")
       .add_double("backoff-jitter", 0.2, "reconnect backoff jitter fraction")
@@ -106,7 +105,6 @@ int main(int argc, char** argv) {
   config.exs.poller = backend.value();
   config.exs.replay_buffer_batches = static_cast<std::uint32_t>(flags.num("replay-batches"));
   config.exs.replay_buffer_bytes = static_cast<std::size_t>(flags.num("replay-bytes"));
-  config.exs.pace = flags.flag("exs-pace");
   config.exs.reconnect_backoff_base_us = flags.num("backoff-base-us");
   config.exs.reconnect_backoff_cap_us = flags.num("backoff-cap-us");
   config.exs.reconnect_jitter = flags.real("backoff-jitter");
@@ -125,17 +123,14 @@ int main(int argc, char** argv) {
   fault_plan.stall_us = flags.num("fault-stall-us");
   fault_plan.stall_every = static_cast<std::uint32_t>(flags.num("fault-stall-every"));
   const std::string ism_host = flags.str("ism-host");
-  const auto ism_port = static_cast<std::uint16_t>(flags.num("ism-port"));
+  // Required: the default 0 is outside the range, so omitting it exits 2.
+  const auto ism_port = static_cast<std::uint16_t>(flags.num_in("ism-port", 1, 65535));
   const int nice_delta = static_cast<int>(flags.num("nice"));
   const bool attach = flags.flag("attach");
   if (flags.flag("verbose")) Logging::set_level(LogLevel::info);
 
   if (config.shm_name.empty()) {
     std::fprintf(stderr, "brisk_exs: --shm /name is required\n");
-    return 2;
-  }
-  if (ism_port == 0) {
-    std::fprintf(stderr, "brisk_exs: --ism-port is required\n");
     return 2;
   }
   if (nice_delta != 0 && ::setpriority(PRIO_PROCESS, 0, nice_delta) != 0) {

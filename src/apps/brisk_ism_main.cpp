@@ -4,7 +4,7 @@
 // Usage:
 //   brisk_ism --port 7411 --shm /brisk-out --picl trace.picl
 //             --poller epoll --ism-reader-threads 4 --ism-sorter-shards 4
-//             --frame-us 10000 --sync-algorithm brisk
+//             --frame-us 10000
 //
 // Runs until SIGINT/SIGTERM, then drains the sorter and exits. See --help
 // for the full knob list (generated from the flag registry).
@@ -88,7 +88,6 @@ brisk::apps::FlagRegistry make_registry() {
                 "one agg.* snapshot per --metrics-interval instead of every record")
       .add_bool("sync", true, "run the clock synchronisation service")
       .add_int("sync-period-us", 5'000'000, "clock sync round period")
-      .add_string("sync-algorithm", "brisk", "clock sync algorithm: brisk or cristian")
       .add_int("fault-seed", 1, "RNG seed for outbound fault injection")
       .add_double("fault-drop", 0.0, "probability of dropping an outbound frame")
       .add_double("fault-dup", 0.0, "probability of duplicating an outbound frame")
@@ -108,7 +107,7 @@ int main(int argc, char** argv) {
   flags.parse(argc, argv);
 
   ManagerConfig config;
-  config.ism.port = static_cast<std::uint16_t>(flags.num("port"));
+  config.ism.port = static_cast<std::uint16_t>(flags.num_in("port", 0, 65535));
   config.ism.select_timeout_us = flags.num("select-timeout-us");
   auto backend = net::parse_poller_backend(flags.str("poller"));
   if (!backend) {
@@ -161,10 +160,7 @@ int main(int argc, char** argv) {
   }
   config.ism.enable_sync = flags.flag("sync");
   config.ism.sync.period_us = flags.num("sync-period-us");
-  const std::string algorithm = flags.str("sync-algorithm");
-  config.ism.sync.algorithm =
-      algorithm == "cristian" ? clk::SyncAlgorithm::cristian : clk::SyncAlgorithm::brisk;
-  const long long consumer_port = flags.num("consumer-port");
+  const long long consumer_port = flags.num_in("consumer-port", -1, 65535);
   config.gateway.tcp_enabled = consumer_port >= 0;
   config.gateway.consumer_port = static_cast<std::uint16_t>(consumer_port < 0 ? 0 : consumer_port);
   config.gateway.poller = backend.value();

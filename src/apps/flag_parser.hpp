@@ -148,6 +148,17 @@ class FlagRegistry {
   [[nodiscard]] long long num(const std::string& name) const {
     return *parse_int(find(name, Type::integer).value);
   }
+  /// num(), but exits 2 naming the flag when the value lies outside
+  /// [lo, hi] — for values that are narrowed afterwards (ports).
+  [[nodiscard]] long long num_in(const std::string& name, long long lo, long long hi) const {
+    const long long v = num(name);
+    if (v < lo || v > hi) {
+      std::fprintf(stderr, "%s: flag --%s must be in [%lld, %lld], got %lld\n", program_.c_str(),
+                   name.c_str(), lo, hi, v);
+      std::exit(2);
+    }
+    return v;
+  }
   [[nodiscard]] double real(const std::string& name) const {
     return *parse_double(find(name, Type::real).value);
   }

@@ -9,7 +9,6 @@ SyncService::SyncService(SyncServiceConfig config, SyncTransport& transport, Clo
       transport_(transport),
       clock_(clock),
       brisk_(config.brisk),
-      cristian_(config.cristian),
       next_round_at_(clock.now() + config.period_us) {}
 
 bool SyncService::maybe_run_round() {
@@ -28,9 +27,7 @@ bool SyncService::maybe_run_round() {
 
 Result<RoundReport> SyncService::run_round_now() {
   ++rounds_run_;
-  Result<RoundReport> report =
-      config_.algorithm == SyncAlgorithm::brisk ? brisk_.run_round(transport_)
-                                                : cristian_.run_round(transport_);
+  Result<RoundReport> report = brisk_.run_round(transport_);
   if (report && observer_) observer_(report.value());
   return report;
 }

@@ -8,22 +8,16 @@
 
 #include <functional>
 #include <memory>
-#include <variant>
 #include <vector>
 
 #include "clock/brisk_sync.hpp"
 #include "clock/clock.hpp"
-#include "clock/cristian_sync.hpp"
 
 namespace brisk::clk {
 
-enum class SyncAlgorithm { brisk, cristian };
-
 struct SyncServiceConfig {
-  SyncAlgorithm algorithm = SyncAlgorithm::brisk;
   TimeMicros period_us = 5'000'000;  // the paper evaluates 5 s rounds
   BriskSyncConfig brisk;
-  CristianConfig cristian;
 };
 
 /// Drives rounds against a SyncTransport based on a clock, without owning a
@@ -58,7 +52,6 @@ class SyncService {
   SyncTransport& transport_;
   Clock& clock_;
   BriskSync brisk_;
-  CristianSync cristian_;
   RoundObserver observer_;
   TimeMicros next_round_at_;
   bool extra_round_pending_ = false;

@@ -85,6 +85,9 @@ Status ManagerConfig::validate() const {
     if (relay.queue_records < 2 || relay.batch_max_records == 0) {
       return Status(Errc::invalid_argument, "relay queue/batch sizes too small");
     }
+    if (relay.replay_batches == 0) {
+      return Status(Errc::invalid_argument, "relay.replay_batches == 0");
+    }
   }
   return Status::ok();
 }
@@ -142,8 +145,6 @@ std::string describe(const ManagerConfig& config) {
   line(out, "cre.hold_timeout_us", static_cast<long long>(config.ism.cre.hold_timeout_us));
   line(out, "sync.enable", static_cast<long long>(config.ism.enable_sync ? 1 : 0));
   line(out, "sync.period_us", static_cast<long long>(config.ism.sync.period_us));
-  line(out, "sync.algorithm",
-       std::string(config.ism.sync.algorithm == clk::SyncAlgorithm::brisk ? "brisk" : "cristian"));
   line(out, "sync.brisk.polls_per_round",
        static_cast<long long>(config.ism.sync.brisk.polls_per_round));
   line(out, "sync.brisk.avg_threshold_us",

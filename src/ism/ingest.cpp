@@ -50,14 +50,6 @@ void ReaderThread::resume(int fd) {
   to_reader_.signal();
 }
 
-void ReaderThread::remove_connection(int fd) {
-  {
-    std::lock_guard<std::mutex> lock(command_mutex_);
-    commands_.push_back(Command{Command::Kind::remove, fd, nullptr});
-  }
-  to_reader_.signal();
-}
-
 void ReaderThread::stop_and_join() {
   if (!thread_.joinable()) return;
   stop_.store(true, std::memory_order_release);
@@ -88,23 +80,6 @@ void ReaderThread::apply_commands() {
       state.lane = std::move(command.lane);
       conns_.emplace(command.fd, std::move(state));
       (void)poller_->watch(command.fd, [this](int fd, net::Readiness) { on_readable(fd); });
-    } else if (command.kind == Command::Kind::remove) {
-      auto it = conns_.find(command.fd);
-      if (it == conns_.end() || it->second.closed || it->second.released) continue;
-      ConnState& conn = it->second;
-      conn.released = true;
-      if (!conn.stalled) (void)poller_->unwatch(command.fd);
-      IngestEvent event;
-      event.kind = IngestEvent::Kind::released;
-      event.fd = command.fd;
-      event.wire_bytes = conn.unattributed_bytes;
-      conn.unattributed_bytes = 0;
-      // Through emit(), behind any backlog: `released` is the last event
-      // this reader ever produces for the fd, so consuming it guarantees
-      // nothing of this connection's stream is still in flight here.
-      emit(conn, std::move(event));
-      if (pushed_events_) to_ordering_.signal();
-      erase_if_done(command.fd);
     } else {  // resume
       auto it = conns_.find(command.fd);
       if (it == conns_.end() || !it->second.stalled) continue;
@@ -116,7 +91,7 @@ void ReaderThread::apply_commands() {
       }
       conn.lane->stalled.store(false, std::memory_order_release);
       if (pushed_events_) to_ordering_.signal();
-      if (conn.closed || conn.released) {
+      if (conn.closed) {
         erase_if_done(command.fd);
       } else {
         (void)poller_->watch(command.fd, [this](int fd, net::Readiness) { on_readable(fd); });
@@ -233,9 +208,9 @@ void ReaderThread::finish(ConnState& conn, int fd, Status why) {
 void ReaderThread::erase_if_done(int fd) {
   auto it = conns_.find(fd);
   if (it == conns_.end()) return;
-  // Keep the state while backlog remains so the closed/released event still
-  // reaches the lane; resume() retries flush_backlog until it drains.
-  if ((it->second.closed || it->second.released) && it->second.backlog.empty()) {
+  // Keep the state while backlog remains so the closed event still reaches
+  // the lane; resume() retries flush_backlog until it drains.
+  if (it->second.closed && it->second.backlog.empty()) {
     conns_.erase(it);
   }
 }
@@ -244,57 +219,6 @@ std::size_t least_loaded_reader(const std::vector<std::size_t>& loads) noexcept 
   std::size_t best = 0;
   for (std::size_t i = 1; i < loads.size(); ++i) {
     if (loads[i] < loads[best]) best = i;
-  }
-  return best;
-}
-
-ReaderImbalance plan_reader_migration(const std::vector<double>& rates,
-                                      const std::vector<std::size_t>& connections,
-                                      double ratio, double min_rate) noexcept {
-  ReaderImbalance plan;
-  if (rates.size() < 2 || connections.size() != rates.size()) return plan;
-  std::size_t busiest = 0;
-  std::size_t idlest = 0;
-  for (std::size_t i = 1; i < rates.size(); ++i) {
-    if (rates[i] > rates[busiest]) busiest = i;
-    if (rates[i] < rates[idlest]) idlest = i;
-  }
-  if (busiest == idlest) return plan;
-  if (rates[busiest] < min_rate) return plan;
-  if (rates[busiest] <= ratio * rates[idlest]) return plan;
-  if (connections[busiest] < 2) return plan;
-  plan.imbalanced = true;
-  plan.from = busiest;
-  plan.to = idlest;
-  return plan;
-}
-
-int pick_connection_to_move(const std::vector<std::pair<int, double>>& candidates,
-                            double rate_gap) noexcept {
-  const double target = rate_gap / 2.0;
-  int best_fd = -1;
-  double best_distance = 0.0;
-  for (const auto& [fd, rate] : candidates) {
-    if (rate <= 0.0) continue;
-    const double distance = rate > target ? rate - target : target - rate;
-    if (best_fd < 0 || distance < best_distance ||
-        (distance == best_distance && fd < best_fd)) {
-      best_fd = fd;
-      best_distance = distance;
-    }
-  }
-  return best_fd;
-}
-
-std::size_t least_loaded_reader(const std::vector<double>& rates,
-                                const std::vector<std::size_t>& connections) noexcept {
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < rates.size(); ++i) {
-    if (rates[i] < rates[best] ||
-        (rates[i] == rates[best] && i < connections.size() &&
-         best < connections.size() && connections[i] < connections[best])) {
-      best = i;
-    }
   }
   return best;
 }

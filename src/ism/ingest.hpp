@@ -48,9 +48,6 @@ struct IngestEvent {
     frame,    // a non-batch frame payload, dispatched by the ordering thread
     batch,    // a DATA batch, already decoded on the reader thread
     closed,   // the connection is done (EOF, error, or malformed stream)
-    released, // the reader gave the fd back (remove_connection); it emits
-              // this *after* every earlier event, so re-adding the fd to
-              // another reader cannot reorder the connection's stream
   };
   Kind kind = Kind::frame;
   int fd = -1;
@@ -85,41 +82,6 @@ struct ReaderConfig {
 /// at accept keeps the pool balanced without migrating established fds.
 std::size_t least_loaded_reader(const std::vector<std::size_t>& loads) noexcept;
 
-/// Rate-aware placement: the reader with the lowest drained-record rate
-/// wins; connection counts only break rate ties (then lowest index, so
-/// placement stays deterministic). Connection counts alone misplace badly
-/// when traffic is skewed — one firehose node outweighs any number of idle
-/// connections, and the decayed record rate is what measures that.
-std::size_t least_loaded_reader(const std::vector<double>& rates,
-                                const std::vector<std::size_t>& connections) noexcept;
-
-/// One evaluation of the reader pool's balance (pure; unit-testable).
-struct ReaderImbalance {
-  bool imbalanced = false;  // one decay period's worth of >ratio skew
-  std::size_t from = 0;     // busiest reader (valid when imbalanced)
-  std::size_t to = 0;       // idlest reader
-};
-
-/// Detects a migration-worthy imbalance: the busiest reader's decayed
-/// drained-record rate exceeds `ratio` times the idlest's, the busiest rate
-/// is at least `min_rate` (near-zero noise must not trigger moves), and the
-/// busiest reader has at least two connections (moving its only one would
-/// just relocate the hot spot). Ties resolve to the lowest index, so the
-/// decision is deterministic. The caller requires the imbalance to be
-/// *sustained* — consecutive imbalanced evaluations across decay periods —
-/// before acting, and moves at most one connection per ack period.
-ReaderImbalance plan_reader_migration(const std::vector<double>& rates,
-                                      const std::vector<std::size_t>& connections,
-                                      double ratio, double min_rate) noexcept;
-
-/// Picks which connection to move off the overloaded reader: the candidate
-/// (fd, decayed rate) whose rate is closest to half the reader rate gap —
-/// moving it levels the two readers as nearly as possible without
-/// overshooting and oscillating. Candidates with zero rate are skipped
-/// (moving an idle fd fixes nothing); returns -1 when none qualify.
-int pick_connection_to_move(const std::vector<std::pair<int, double>>& candidates,
-                            double rate_gap) noexcept;
-
 class ReaderThread {
  public:
   /// Creates the wakeup plumbing and starts the thread.
@@ -133,11 +95,6 @@ class ReaderThread {
 
   /// Hands a non-blocking fd to this reader. Events appear on `lane`.
   void add_connection(int fd, std::shared_ptr<IngestLane> lane);
-  /// Takes the fd away again (rebalancing): the reader stops polling it and
-  /// emits a `released` event behind everything it already produced. The
-  /// ordering thread re-adds the fd to the target reader only after it has
-  /// consumed that event, so per-connection FIFO survives the move.
-  void remove_connection(int fd);
   /// Un-stalls a connection whose lane has space again.
   void resume(int fd);
   /// Readable whenever events may be pending; watch it in the ordering
@@ -155,12 +112,11 @@ class ReaderThread {
     std::deque<IngestEvent> backlog;
     std::size_t unattributed_bytes = 0;  // read but not yet carried by an event
     bool stalled = false;
-    bool closed = false;    // closed event emitted; fd no longer polled
-    bool released = false;  // released event emitted; never re-watch here
+    bool closed = false;  // closed event emitted; fd no longer polled
   };
 
   struct Command {
-    enum class Kind { add, resume, remove } kind = Kind::add;
+    enum class Kind { add, resume } kind = Kind::add;
     int fd = -1;
     std::shared_ptr<IngestLane> lane;
   };

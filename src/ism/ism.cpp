@@ -91,7 +91,6 @@ void Ism::register_metrics() {
     b.counter("ism.heartbeats_received", s.heartbeats_received);
     b.counter("ism.credit_grants_sent", s.credit_grants_sent);
     b.counter("ism.zero_window_grants", s.zero_window_grants);
-    b.counter("ism.reader_migrations", s.reader_migrations);
 
     const PipelineStats p = pipeline_->stats();
     b.counter("ism.pipeline.submitted", p.submitted);
@@ -179,7 +178,6 @@ IsmStats Ism::stats() const noexcept {
   out.heartbeats_received = stats_.heartbeats_received.load(std::memory_order_relaxed);
   out.credit_grants_sent = stats_.credit_grants_sent.load(std::memory_order_relaxed);
   out.zero_window_grants = stats_.zero_window_grants.load(std::memory_order_relaxed);
-  out.reader_migrations = stats_.reader_migrations.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -223,7 +221,6 @@ Result<std::unique_ptr<Ism>> Ism::start(const IsmConfig& config, clk::Clock& clo
     ism->readers_.push_back(std::move(reader).value());
   }
   ism->reader_loads_.assign(ism->readers_.size(), 0);
-  ism->reader_rates_.assign(ism->readers_.size(), 0.0);
   return ism;
 }
 
@@ -250,7 +247,7 @@ void Ism::on_listener_readable() {
     conn.last_rx_us = monotonic_micros();
     if (threaded()) {
       conn.lane = std::make_shared<IngestLane>(config_.ingest_queue_frames);
-      conn.reader_index = least_loaded_reader(reader_rates_, reader_loads_);
+      conn.reader_index = least_loaded_reader(reader_loads_);
     }
     auto [it, inserted] = connections_.emplace(fd, std::move(conn));
     if (!inserted) continue;
@@ -427,13 +424,6 @@ void Ism::process_ingest_event(int fd, IngestEvent event) {
         close_connection(fd);
         return;
       }
-      // Feed placement: the reader's load is the records it drains, not the
-      // connections it happens to hold.
-      if (conn.reader_index < reader_rates_.size()) {
-        reader_rates_[conn.reader_index] +=
-            static_cast<double>(event.batch.records.size());
-        conn.drained_rate += static_cast<double>(event.batch.records.size());
-      }
       handle_batch(conn, std::move(event.batch));
       return;
     }
@@ -446,30 +436,6 @@ void Ism::process_ingest_event(int fd, IngestEvent event) {
         }
         close_connection(fd);
       }
-      return;
-    }
-    case IngestEvent::Kind::released: {
-      // The old reader is finished with the fd and everything it produced
-      // has been consumed; complete the migration (or the close, if the
-      // connection was torn down while the move was in flight).
-      if (conn.closing) {
-        conn.reader_done = true;
-        conn.migrate_target = -1;
-        finish_close(fd);
-        return;
-      }
-      if (conn.migrate_target < 0) return;
-      const auto to = static_cast<std::size_t>(conn.migrate_target);
-      conn.migrate_target = -1;
-      if (reader_loads_[conn.reader_index] > 0) --reader_loads_[conn.reader_index];
-      // Carry the connection's decayed rate across so the imbalance signal
-      // reflects the move now, not a decay period later.
-      reader_rates_[conn.reader_index] -= conn.drained_rate;
-      if (reader_rates_[conn.reader_index] < 0.0) reader_rates_[conn.reader_index] = 0.0;
-      conn.reader_index = to;
-      ++reader_loads_[to];
-      reader_rates_[to] += conn.drained_rate;
-      readers_[to]->add_connection(fd, conn.lane);
       return;
     }
   }
@@ -676,12 +642,6 @@ void Ism::handle_relay_batch(Connection& conn, tp::RelayBatch batch) {
   // decoder restored. Dropping or reordering here would break the lane's
   // sorted-stream invariant.
   session.records_admitted += batch.records.size();
-  // Relay batches reach here as raw frame events, so the reader drained-rate
-  // accounting in process_ingest_event never saw them; credit them here.
-  if (conn.reader_index < reader_rates_.size()) {
-    reader_rates_[conn.reader_index] += static_cast<double>(batch.records.size());
-    conn.drained_rate += static_cast<double>(batch.records.size());
-  }
   for (sensors::Record& record : batch.records) {
     if (record.trace) {
       record.trace->stamp(sensors::TraceStage::ism_ingest, clock_.now());
@@ -960,21 +920,6 @@ void Ism::session_sweep() {
   }
   for (int fd : failed) close_connection(fd);
 
-  // Reader drained-record rates decay by half every period, so placement
-  // follows recent traffic and an old burst cannot pin a reader forever.
-  if (!reader_rates_.empty()) {
-    constexpr TimeMicros kReaderRateDecayPeriod = 1'000'000;
-    if (last_reader_decay_us_ == 0) {
-      last_reader_decay_us_ = now;
-    } else if (now - last_reader_decay_us_ >= kReaderRateDecayPeriod) {
-      last_reader_decay_us_ = now;
-      // Evaluate on pre-decay rates: a full period's traffic, not half.
-      maybe_migrate_connection(now);
-      for (double& rate : reader_rates_) rate *= 0.5;
-      for (auto& [fd, conn] : connections_) conn.drained_rate *= 0.5;
-    }
-  }
-
   // Quarantine expiry: forget sessions whose node never came back.
   std::vector<NodeId> expired;
   for (const auto& [node, session] : sessions_) {
@@ -984,44 +929,6 @@ void Ism::session_sweep() {
     }
   }
   for (NodeId node : expired) expire_session(node);
-}
-
-void Ism::maybe_migrate_connection(TimeMicros now) {
-  if (readers_.size() < 2) return;
-  constexpr std::size_t kSustainedImbalancePeriods = 3;
-  const ReaderImbalance plan =
-      plan_reader_migration(reader_rates_, reader_loads_, /*ratio=*/2.0, /*min_rate=*/1.0);
-  if (!plan.imbalanced) {
-    imbalance_streak_ = 0;
-    return;
-  }
-  if (++imbalance_streak_ < kSustainedImbalancePeriods) return;
-  if (last_migration_us_ != 0 && now - last_migration_us_ < config_.ack_period_us) {
-    return;
-  }
-  std::vector<std::pair<int, double>> candidates;
-  for (const auto& [fd, conn] : connections_) {
-    if (conn.reader_index != plan.from || !conn.lane || conn.closing ||
-        conn.migrate_target >= 0) {
-      continue;
-    }
-    candidates.emplace_back(fd, conn.drained_rate);
-  }
-  if (candidates.size() < 2) return;  // never strip a reader's last connection
-  const int fd = pick_connection_to_move(
-      candidates, reader_rates_[plan.from] - reader_rates_[plan.to]);
-  if (fd < 0) return;
-  auto it = connections_.find(fd);
-  if (it == connections_.end()) return;
-  it->second.migrate_target = static_cast<int>(plan.to);
-  readers_[plan.from]->remove_connection(fd);
-  last_migration_us_ = now;
-  imbalance_streak_ = 0;
-  bump(stats_.reader_migrations);
-  flight_.record(sensors::EventKind::reader_migration, it->second.node, plan.to,
-                 clock_.now());
-  BRISK_LOG_INFO << "migrating fd " << fd << " (node " << it->second.node
-                 << ") from reader " << plan.from << " to reader " << plan.to;
 }
 
 void Ism::expire_session(NodeId node) {

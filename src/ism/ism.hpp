@@ -158,8 +158,6 @@ struct IsmStats {
   // --- credit-based flow control ---------------------------------------------
   std::uint64_t credit_grants_sent = 0;        // acks that carried a grant
   std::uint64_t zero_window_grants = 0;        // grants that closed the window
-  // --- reader-pool rebalancing -----------------------------------------------
-  std::uint64_t reader_migrations = 0;         // connections moved between readers
 };
 
 class Ism {
@@ -200,8 +198,8 @@ class Ism {
   /// thread.
   [[nodiscard]] metrics::MetricsRegistry& metrics() noexcept { return metrics_; }
   /// The diagnostic flight recorder: session lifecycle, flow-control
-  /// pressure, drops, and migrations land here, are dumped on SIGUSR1 /
-  /// fatal exit, and ship as 0xFF03 records with each metrics snapshot.
+  /// pressure and drops land here, are dumped on SIGUSR1 / fatal exit, and
+  /// ship as 0xFF03 records with each metrics snapshot.
   /// The gateway and relay egress share this ring (BriskManager wires it).
   [[nodiscard]] metrics::FlightRecorder& flight() noexcept { return flight_; }
   [[nodiscard]] OrderingPipeline& pipeline() noexcept { return *pipeline_; }
@@ -251,15 +249,6 @@ class Ism {
     /// whose batches are already (timestamp, node)-sorted and watermarked.
     bool relay = false;
     std::size_t relay_lane = 0;  // valid only when relay
-    // --- reader-pool rebalancing ---------------------------------------------
-    /// Decayed per-connection drained-record rate (ordering thread only);
-    /// halved in session_sweep alongside the per-reader rates. This is what
-    /// pick_connection_to_move ranks.
-    double drained_rate = 0.0;
-    /// Destination reader of an in-flight migration, or -1. Set when the
-    /// `remove` command goes to the old reader; consumed by the `released`
-    /// event, which re-adds the fd at the target.
-    int migrate_target = -1;
   };
 
   /// Per-node state that must survive the TCP connection: the batch_seq
@@ -341,11 +330,6 @@ class Ism {
   void idle_work();
   /// Idle reaping, quarantine expiry, and periodic BATCH_ACKs.
   void session_sweep();
-  /// Reader-pool rebalancing: once the decayed drained-rate imbalance has
-  /// been sustained for kSustainedImbalancePeriods decay periods, moves one
-  /// connection (at most one per ack period) from the busiest reader to the
-  /// idlest. Called from the decay tick with pre-decay rates.
-  void maybe_migrate_connection(TimeMicros now);
   void expire_session(NodeId node);
   Status send_ack(Connection& conn, tp::MsgType type);
   Status send_frame(Connection& conn, ByteSpan payload);
@@ -391,18 +375,8 @@ class Ism {
   net::TcpListener listener_;
   std::unique_ptr<net::Poller> loop_;
   std::vector<std::unique_ptr<ReaderThread>> readers_;
-  /// Live connection count per reader (tie-breaker for accept placement).
+  /// Live connection count per reader (drives accept placement).
   std::vector<std::size_t> reader_loads_;
-  /// Decayed drained-record load per reader: bumped as batches drain from a
-  /// reader's lanes, halved periodically in session_sweep(). Accept-time
-  /// placement follows actual record traffic, not connection counts — four
-  /// idle connections weigh less than one firehose.
-  std::vector<double> reader_rates_;
-  TimeMicros last_reader_decay_us_ = 0;  // monotonic
-  /// Consecutive decay periods the pool evaluated as imbalanced; a
-  /// migration needs kSustainedImbalancePeriods of them in a row.
-  std::size_t imbalance_streak_ = 0;
-  TimeMicros last_migration_us_ = 0;  // monotonic; rate-limits to 1/ack period
   std::map<int, Connection> connections_;
   std::map<NodeId, int> nodes_;  // node id → fd (live connections only)
   std::map<NodeId, NodeSession> sessions_;
@@ -448,7 +422,6 @@ class Ism {
     std::atomic<std::uint64_t> heartbeats_received{0};
     std::atomic<std::uint64_t> credit_grants_sent{0};
     std::atomic<std::uint64_t> zero_window_grants{0};
-    std::atomic<std::uint64_t> reader_migrations{0};
   };
   Counters stats_;
   /// node → drained-record cell, for the pipeline-sink counting hook. Read

@@ -8,6 +8,9 @@ Status ExsConfig::validate() const {
   if (batch_max_age_us < 0) return Status(Errc::invalid_argument, "negative batch_max_age_us");
   if (drain_burst == 0) return Status(Errc::invalid_argument, "drain_burst == 0");
   if (select_timeout_us <= 0) return Status(Errc::invalid_argument, "select_timeout_us <= 0");
+  if (replay_buffer_batches == 0) {
+    return Status(Errc::invalid_argument, "replay_buffer_batches == 0");
+  }
   if (reconnect_backoff_base_us <= 0) {
     return Status(Errc::invalid_argument, "reconnect_backoff_base_us <= 0");
   }

@@ -51,7 +51,7 @@ struct ExsConfig {
   /// value at connect time (daemons); tests may pin it for determinism.
   std::uint64_t incarnation = 0;
   /// Sent-but-unacknowledged data batches retained for replay after a
-  /// reconnect. 0 disables replay (and the HELLO_ACK send gate with it).
+  /// reconnect (must be > 0).
   std::uint32_t replay_buffer_batches = 256;
   /// Byte cap on the replay buffer — the memory an operator actually
   /// provisions. 0 = no byte cap (count cap alone applies).
@@ -70,14 +70,6 @@ struct ExsConfig {
   /// Reconnect if the ISM has been silent this long — catches half-open
   /// TCP sessions where writes still succeed locally (0 disables).
   TimeMicros ism_silence_timeout_us = 0;
-
-  // --- credit-based flow control ---------------------------------------------
-  /// Honor ISM credit grants (--exs-pace): batches beyond the granted
-  /// window wait in the replay buffer instead of blasting into a blocked
-  /// socket, and the batch size shrinks to fit the window. Off, or facing
-  /// an ISM that grants no credits, the EXS sends as fast as the socket
-  /// accepts (the pre-v3 behavior). Pacing requires the replay buffer.
-  bool pace = true;
 
   // --- self-instrumentation ---------------------------------------------------
   /// Snapshot the EXS's own counters into reserved-sensor-id metrics

@@ -19,7 +19,6 @@ tp::LinkConfig ExsCore::make_link_config(const ExsConfig& config) {
   link.incarnation = config.incarnation;
   link.replay_batches = config.replay_buffer_batches;
   link.replay_bytes = config.replay_buffer_bytes;
-  link.pace = config.pace;
   return link;
 }
 
@@ -166,7 +165,7 @@ Status ExsCore::emit_metrics() {
 }
 
 ExsStats ExsCore::stats() const noexcept {
-  const tp::LinkStats link = link_.stats();
+  const tp::LinkStats up = link_.stats();
   ExsStats s;
   s.records_forwarded = records_forwarded_;
   s.batches_sent = batcher_.batches_sent();
@@ -176,17 +175,17 @@ ExsStats ExsCore::stats() const noexcept {
   s.sync_polls_answered = sync_polls_answered_;
   s.sync_adjustments = sync_adjustments_;
   s.correction_us = correction_;
-  s.reconnects = link.reconnects;
-  s.batches_replayed = link.batches_replayed;
-  s.replay_evictions = link.replay_evictions;
-  s.heartbeats_sent = link.heartbeats_sent;
-  s.acks_received = link.acks_received;
-  s.replay_pending = link.replay_pending;
-  s.credit_grants_received = link.credit_grants_received;
-  s.paced_batches = link.paced_batches;
-  s.credit_stalled_us = link.credit_stalled_us;
-  s.credit_window_records = link.credit_window_records;
-  s.credit_window_bytes = link.credit_window_bytes;
+  s.reconnects = up.reconnects;
+  s.batches_replayed = up.batches_replayed;
+  s.replay_evictions = up.replay_evictions;
+  s.heartbeats_sent = up.heartbeats_sent;
+  s.acks_received = up.acks_received;
+  s.replay_pending = up.replay_pending;
+  s.credit_grants_received = up.credit_grants_received;
+  s.paced_batches = up.paced_batches;
+  s.credit_stalled_us = up.credit_stalled_us;
+  s.credit_window_records = up.credit_window_records;
+  s.credit_window_bytes = up.credit_window_bytes;
   return s;
 }
 

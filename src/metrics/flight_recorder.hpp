@@ -1,8 +1,8 @@
 // Diagnostic flight recorder: a lock-light fixed-size ring of structured
 // events (see sensors/event_record.hpp for the taxonomy) recorded at the
 // daemons' existing decision points — session reap/quarantine/rejoin,
-// zero-window grants, lane and queue drops, subscriber eviction, reader
-// migration, watermark stalls, reconnects.
+// zero-window grants, lane and queue drops, subscriber eviction, watermark
+// stalls, reconnects.
 //
 // Writers claim a slot with one relaxed fetch_add and publish it with a
 // release store of the slot's stamp; every slot field is a relaxed atomic,

@@ -1,8 +1,8 @@
 // Flight-recorder event schema: structured diagnostic events (session
-// lifecycle, flow-control pressure, drops, evictions, migrations,
-// reconnects) emitted as ordinary records on a reserved sensor id, so the
-// recorder rides the same pipeline it observes — the same treatment the
-// metrics snapshots (0xFF01) and trace spans (0xFF02) get.
+// lifecycle, flow-control pressure, drops, evictions, reconnects) emitted
+// as ordinary records on a reserved sensor id, so the recorder rides the
+// same pipeline it observes — the same treatment the metrics snapshots
+// (0xFF01) and trace spans (0xFF02) get.
 //
 // An event record is a regular Record carrying kEventSensorId and exactly
 // four fields:
@@ -40,7 +40,7 @@ enum class EventKind : std::uint8_t {
   lane_drop = 5,           // bounded fan-out/ingest lane discarded a record
   queue_drop = 6,          // bounded queue discarded (sorter overflow etc.)
   subscriber_evicted = 7,  // gateway evicted a sustained-overrun consumer
-  reader_migration = 8,    // connection moved between ingest readers
+  reader_migration = 8,    // no longer emitted; kept so old 0xFF03 streams decode
   watermark_stall = 9,     // egress/queue waited on a watermark or full queue
   reconnect = 10,          // upstream link lost and re-established
   batch_gap = 11,          // batch sequence hole declared lost

@@ -14,7 +14,9 @@ std::uint32_t read_be32(const std::uint8_t* p) noexcept {
 }  // namespace
 
 Status ReplayBuffer::retain(ByteSpan frame) {
-  if (max_batches_ == 0) return Status::ok();  // replay disabled
+  // A zero cap is a misconfiguration (the config validators reject it): the
+  // upstream link relies on the newest batch being retained.
+  if (max_batches_ == 0) return Status(Errc::invalid_argument, "replay buffer cap is 0");
   if (frame.size() < kCountOffset + 4) {
     return Status(Errc::invalid_argument, "frame too short for a batch header");
   }

@@ -11,7 +11,7 @@ UpstreamLink::UpstreamLink(const LinkConfig& config, clk::Clock& clock, FrameSin
       replay_(config.replay_batches, config.replay_bytes) {}
 
 Status UpstreamLink::send_hello() {
-  if (config_.replay_batches > 0) awaiting_ack_ = true;
+  awaiting_ack_ = true;
   ByteBuffer out;
   xdr::Encoder enc(out);
   put_type(MsgType::hello, enc);
@@ -29,31 +29,27 @@ Status UpstreamLink::send_heartbeat() {
 }
 
 Status UpstreamLink::ship_batch(ByteBuffer payload) {
-  if (config_.replay_batches > 0) {
-    Status st = replay_.retain(payload.view());
+  Status st = replay_.retain(payload.view());
+  if (!st) return st;
+  if (credit_active_) {
+    // Paced mode: every send goes through the window gate, in sequence
+    // order. A batch the window cannot take right now simply waits in the
+    // replay buffer — the next replenishing grant pumps it out.
+    const std::uint32_t seq = replay_.entries().back().batch_seq;
+    st = pump_sends();
     if (!st) return st;
-    if (credit_active_) {
-      // Paced mode: every send goes through the window gate, in sequence
-      // order. A batch the window cannot take right now simply waits in the
-      // replay buffer — the next replenishing grant pumps it out.
-      const std::uint32_t seq = replay_.entries().back().batch_seq;
-      st = pump_sends();
-      if (!st) return st;
-      if (link_ready_ && !awaiting_ack_ && next_unsent_seq_ <= seq) ++paced_batches_;
-      return Status::ok();
-    }
-    // Link down or session not yet acknowledged: the batch stays in the
-    // replay buffer and goes out — in sequence order — on the next
-    // HELLO_ACK. Sending it now would let a fresh batch overtake older
-    // unacked ones and the peer would discard the replays as duplicates.
-    if (!link_ready_ || awaiting_ack_) return Status::ok();
-    if (!replay_.empty()) {
-      const ReplayBuffer::Entry& newest = replay_.entries().back();
-      next_unsent_seq_ = newest.batch_seq + 1;
-      if (send_high_water_ < next_unsent_seq_) send_high_water_ = next_unsent_seq_;
-    }
-  } else if (!link_ready_) {
-    return Status::ok();  // replay disabled: the batch is simply lost
+    if (link_ready_ && !awaiting_ack_ && next_unsent_seq_ <= seq) ++paced_batches_;
+    return Status::ok();
+  }
+  // Link down or session not yet acknowledged: the batch stays in the
+  // replay buffer and goes out — in sequence order — on the next
+  // HELLO_ACK. Sending it now would let a fresh batch overtake older
+  // unacked ones and the peer would discard the replays as duplicates.
+  if (!link_ready_ || awaiting_ack_) return Status::ok();
+  if (!replay_.empty()) {
+    const ReplayBuffer::Entry& newest = replay_.entries().back();
+    next_unsent_seq_ = newest.batch_seq + 1;
+    if (send_high_water_ < next_unsent_seq_) send_high_water_ = next_unsent_seq_;
   }
   return sink_(std::move(payload));
 }
@@ -170,7 +166,6 @@ void UpstreamLink::apply_credit(const std::optional<CreditGrant>& credit) {
   if (!credit) return;
   if (credit->incarnation != config_.incarnation) return;  // stale session's grant
   ++credit_grants_received_;
-  if (!config_.pace || config_.replay_batches == 0) return;
   credit_active_ = true;
   window_records_ = credit->window_records;
   window_bytes_ = credit->window_bytes;
@@ -196,7 +191,6 @@ Status UpstreamLink::handle_frame(MsgType type, xdr::Decoder& decoder) {
       if (!ack) return ack.status();
       ++acks_received_;
       apply_credit(ack.value().credit);
-      if (config_.replay_batches == 0) return Status::ok();
       if (ack.value().incarnation != config_.incarnation) {
         // Ack for a previous session of this connection; a fresh one is on
         // its way.
@@ -213,7 +207,6 @@ Status UpstreamLink::handle_frame(MsgType type, xdr::Decoder& decoder) {
       if (!ack) return ack.status();
       ++acks_received_;
       apply_credit(ack.value().credit);
-      if (config_.replay_batches == 0) return Status::ok();
       const std::uint32_t expected = ack.value().next_expected_seq;
       replay_.ack(expected);
       // Two consecutive acks naming the same cursor while we hold that very

@@ -37,12 +37,10 @@ struct LinkConfig {
   std::uint64_t incarnation = 0;
   /// Capability word carried by HELLO (0 = plain EXS-shaped peer).
   std::uint32_t capabilities = 0;
-  /// Replay depth in batches; 0 disables replay (and therefore pacing).
+  /// Replay depth in batches; must be > 0 (the config validators reject 0).
   std::size_t replay_batches = 256;
   /// Replay depth in bytes; 0 disables the byte cap.
   std::size_t replay_bytes = 0;
-  /// Honor credit grants (protocol v3 pacing). Requires replay.
-  bool pace = true;
 };
 
 struct LinkStats {
@@ -76,9 +74,9 @@ class UpstreamLink {
 
   void set_window_observer(WindowObserver observer) { window_observer_ = std::move(observer); }
 
-  /// Sends the HELLO that opens (or re-opens) the session. With replay
-  /// enabled, outbound batches are deferred into the replay buffer until
-  /// the peer's HELLO_ACK names the resume cursor — this keeps the batch
+  /// Sends the HELLO that opens (or re-opens) the session. Outbound
+  /// batches are deferred into the replay buffer until the peer's
+  /// HELLO_ACK names the resume cursor — this keeps the batch
   /// sequence the peer observes contiguous across a reconnect.
   Status send_hello();
 
@@ -109,8 +107,8 @@ class UpstreamLink {
   [[nodiscard]] bool awaiting_ack() const noexcept { return awaiting_ack_; }
   [[nodiscard]] const ReplayBuffer& replay() const noexcept { return replay_; }
 
-  /// True once a credit grant governs this session's sends (pacing on,
-  /// replay enabled, and a grant for this incarnation has arrived).
+  /// True once a credit grant for this incarnation has arrived and governs
+  /// this session's sends.
   [[nodiscard]] bool pacing() const noexcept { return credit_active_; }
   /// Sent-but-unacknowledged records/bytes charged against the window.
   [[nodiscard]] std::uint64_t outstanding_records() const noexcept;

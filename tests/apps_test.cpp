@@ -11,6 +11,8 @@
 
 #include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/time_util.hpp"
 #include "core/brisk_node.hpp"
@@ -89,6 +91,24 @@ std::string read_until(ChildProcess& child, const std::string& marker,
   return output;
 }
 
+/// Waits up to `timeout` for the child to exit and returns its exit code;
+/// a child still running at the deadline is terminated and yields -1.
+int wait_exit_code(ChildProcess& child, TimeMicros timeout) {
+  const TimeMicros deadline = monotonic_micros() + timeout;
+  int status = 0;
+  while (::waitpid(child.pid, &status, WNOHANG) == 0) {
+    if (monotonic_micros() >= deadline) {
+      child.terminate_and_wait();
+      return -1;
+    }
+    sleep_micros(10'000);
+  }
+  child.pid = -1;
+  ::close(child.stdout_fd);
+  child.stdout_fd = -1;
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
 TEST(AppsTest, ThreeExecutableDeployment) {
   const std::string apps_dir = BRISK_APPS_DIR;
   const std::string suffix = std::to_string(::getpid());
@@ -164,6 +184,27 @@ TEST(AppsTest, ThreeExecutableDeployment) {
   // clean up here to keep the namespace tidy across test runs.
   auto out_region = shm::SharedRegion::open_named(out_shm);
   if (out_region.is_ok()) (void)out_region.value().unlink();
+}
+
+TEST(AppsTest, OutOfRangePortsExitTwo) {
+  // A port narrowed to 16 bits without a range check wraps (70000 → 4464)
+  // and the daemon runs on the wrong port; each must refuse at startup.
+  const std::string apps_dir = BRISK_APPS_DIR;
+  const std::string node_shm = "/brisk-apps-port-" + std::to_string(::getpid());
+  const std::vector<std::pair<std::string, std::vector<std::string>>> cases = {
+      {"brisk_ism", {"--port", "70000", "--sync", "false"}},
+      {"brisk_ism", {"--consumer-port", "65537", "--sync", "false"}},
+      {"brisk_exs", {"--node", "1", "--shm", node_shm, "--ism-port", "70000"}},
+  };
+  for (const auto& [binary, args] : cases) {
+    ChildProcess child = spawn(apps_dir + "/" + binary, args);
+    ASSERT_GT(child.pid, 0);
+    EXPECT_EQ(wait_exit_code(child, 5'000'000), 2) << binary << " " << args[0] << " "
+                                                   << args[1];
+  }
+  // An EXS that wrapped the port instead would have created its region.
+  auto region = shm::SharedRegion::open_named(node_shm);
+  if (region.is_ok()) (void)region.value().unlink();
 }
 
 }  // namespace

@@ -378,19 +378,6 @@ TEST(SyncServiceTest, ObserverSeesReports) {
   EXPECT_EQ(observed, 1);
 }
 
-TEST(SyncServiceTest, CristianAlgorithmSelectable) {
-  SimWorld world(sim::LatencyModelConfig{.base_us = 10, .jitter_us = 0, .seed = 4});
-  world.add_clock(3'000);
-  SyncServiceConfig config;
-  config.algorithm = SyncAlgorithm::cristian;
-  config.period_us = 1;
-  SyncService service(config, world.transport, world.reference);
-  world.reference.advance(10);
-  ASSERT_TRUE(service.maybe_run_round());
-  EXPECT_LT(std::llabs(world.clocks[0]->true_skew()), 100)
-      << "cristian pulls the slave to the master";
-}
-
 // ---- parameterized: asymmetric latency bounds both algorithms -----------------------------------
 
 class AsymmetrySweep : public ::testing::TestWithParam<TimeMicros> {};

@@ -458,6 +458,15 @@ TEST(IntegrationTest, ConfigValidationRejectsBadKnobs) {
   ManagerConfig no_acks;
   no_acks.ism.ack_period_us = 0;
   EXPECT_EQ(no_acks.validate().code(), Errc::invalid_argument);
+
+  // Nor a replay-off relay link.
+  ManagerConfig no_replay;
+  no_replay.relay_enabled = true;
+  no_replay.relay.parent_port = 7411;
+  no_replay.relay.relay_node = 9;
+  EXPECT_TRUE(no_replay.validate());
+  no_replay.relay.replay_batches = 0;
+  EXPECT_EQ(no_replay.validate().code(), Errc::invalid_argument);
 }
 
 TEST(IntegrationTest, DescribeRendersKnobs) {
@@ -465,7 +474,6 @@ TEST(IntegrationTest, DescribeRendersKnobs) {
   EXPECT_NE(node_desc.find("node = 7"), std::string::npos);
   EXPECT_NE(node_desc.find("exs.select_timeout_us = 2000"), std::string::npos);
   const std::string manager_desc = describe(fast_manager_config());
-  EXPECT_NE(manager_desc.find("sync.algorithm = \"brisk\""), std::string::npos);
   EXPECT_NE(manager_desc.find("sorter.initial_frame_us = 5000"), std::string::npos);
 }
 

@@ -750,21 +750,5 @@ TEST(LeastLoadedReaderTest, PicksMinimumAndBreaksTiesLow) {
   EXPECT_EQ(least_loaded_reader({5, 0}), 1u);
 }
 
-TEST(LeastLoadedReaderTest, DrainRatePlacementPrefersColdReaders) {
-  // The rate-aware overload places by drained-record rates, not connection
-  // counts: the scenario connection counting gets wrong is one chatty node
-  // on reader 0 out-weighing three idle ones on reader 1.
-  EXPECT_EQ(least_loaded_reader({9000.0, 12.0}, {1, 3}), 1u);
-  EXPECT_EQ(least_loaded_reader({0.0, 500.0, 250.0}, {4, 1, 1}), 0u);
-  // Equal rates fall back to the connection-count tie-break...
-  EXPECT_EQ(least_loaded_reader({100.0, 100.0}, {3, 1}), 1u);
-  // ...and a full tie goes to the lowest index, like the legacy overload.
-  EXPECT_EQ(least_loaded_reader({100.0, 100.0}, {2, 2}), 0u);
-  EXPECT_EQ(least_loaded_reader({0.0}, {0}), 0u);
-  // All-idle readers (fresh start): same placement round-robin-from-zero
-  // shape as before — first minimum, lowest connection count.
-  EXPECT_EQ(least_loaded_reader({0.0, 0.0, 0.0}, {1, 0, 2}), 1u);
-}
-
 }  // namespace
 }  // namespace brisk::ism

@@ -161,6 +161,10 @@ TEST(ExsConfigTest, ValidatesKnobs) {
   config = ExsConfig{};
   config.drain_burst = 0;
   EXPECT_FALSE(config.validate());
+  // Replay is not optional: there is no replay-off mode.
+  config = ExsConfig{};
+  config.replay_buffer_batches = 0;
+  EXPECT_FALSE(config.validate());
 }
 
 // ---- ExsCore ----------------------------------------------------------------------------

@@ -499,42 +499,5 @@ INSTANTIATE_TEST_SUITE_P(Grid, RelayFederationTest,
                                            GridMode{2, 4}),
                          grid_mode_name);
 
-// ---- reader-pool rebalancing decision ---------------------------------------
-
-TEST(ReaderMigrationTest, NoMigrationWhenBalanced) {
-  const auto plan = plan_reader_migration({100.0, 90.0}, {3, 3}, 2.0, 1.0);
-  EXPECT_FALSE(plan.imbalanced);
-}
-
-TEST(ReaderMigrationTest, DetectsSustainedImbalanceSourceAndTarget) {
-  const auto plan = plan_reader_migration({10.0, 500.0, 40.0}, {2, 4, 3}, 2.0, 1.0);
-  ASSERT_TRUE(plan.imbalanced);
-  EXPECT_EQ(plan.from, 1u);
-  EXPECT_EQ(plan.to, 0u);
-}
-
-TEST(ReaderMigrationTest, NearZeroTrafficNeverTriggers) {
-  // 0.4 vs 0.01 is a >2x ratio but under the min-rate floor: noise.
-  const auto plan = plan_reader_migration({0.4, 0.01}, {4, 4}, 2.0, 1.0);
-  EXPECT_FALSE(plan.imbalanced);
-}
-
-TEST(ReaderMigrationTest, SingleConnectionReaderIsNotStripped) {
-  // Moving the busiest reader's only connection just relocates the hot spot.
-  const auto plan = plan_reader_migration({500.0, 10.0}, {1, 4}, 2.0, 1.0);
-  EXPECT_FALSE(plan.imbalanced);
-}
-
-TEST(ReaderMigrationTest, PicksConnectionClosestToHalfTheGap) {
-  // Gap 400 → target 200: the 180-rate connection levels the pool best.
-  const int fd = pick_connection_to_move({{7, 390.0}, {8, 180.0}, {9, 30.0}}, 400.0);
-  EXPECT_EQ(fd, 8);
-}
-
-TEST(ReaderMigrationTest, IdleConnectionsAreNeverMoved) {
-  EXPECT_EQ(pick_connection_to_move({{7, 0.0}, {8, 0.0}}, 400.0), -1);
-  EXPECT_EQ(pick_connection_to_move({}, 400.0), -1);
-}
-
 }  // namespace
 }  // namespace brisk::ism
