@@ -43,14 +43,17 @@
 #      freezes while the fleet frontier advances) and every survivor live
 #  10. resilience: the crash/churn/fault-injection label on the same build
 #  11. sanitize: a separate ASan+UBSan tree running the resilience label
-#      (including the flow-control property suite), which is where lifetime
-#      and data-race-adjacent bugs actually surface
+#      (including the flow-control property suite, manager teardown while
+#      TCP subscribers overrun, and the ISM's sync poll on a connection fd
+#      past FD_SETSIZE), which is where lifetime and data-race-adjacent bugs
+#      actually surface
 #  12. tsan: a TSan tree over the threaded ingest/ordering/metrics/trace
 #      tests plus the flow-control property suite, the consumer-gateway
 #      suite, the federation suite (relay lanes, two-hop sync, metrics
-#      aggregation), and the flight-recorder and
-#      health-rollup suites — the cross-thread stats counters, the credit
-#      drained-record cells, the relay lane cells, and the gateway's
+#      aggregation, relay link loss with reconnect and replay), and the
+#      flight-recorder and health-rollup suites — the cross-thread stats
+#      counters, the credit drained-record cells, the relay lane cells, the
+#      relay egress thread's shared upstream client, and the gateway's
 #      fan-out thread must stay clean on the whole grid
 #
 # Usage: ./ci.sh [--skip-sanitize]
@@ -503,6 +506,6 @@ echo "==> [12/12] TSan build + ingest/ordering/metrics/trace/gateway/federation 
 cmake -B build-tsan -S . -DBRISK_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$JOBS"
 ctest --test-dir build-tsan --output-on-failure --no-tests=error -j"$JOBS" \
-  -R 'IsmServerTest|IsmIngestDeterminismTest|OrderingPipelineTest|Metrics|Trace|FlowControl|CreditGrant|Gateway|RelayFederation|FederatedSync|FlightRecorder|HealthRollup|RelayAggregation'
+  -R 'IsmServerTest|IsmIngestDeterminismTest|OrderingPipelineTest|Metrics|Trace|FlowControl|CreditGrant|Gateway|RelayFederation|RelayLinkLoss|FederatedSync|FlightRecorder|HealthRollup|RelayAggregation'
 
 echo "==> CI green"

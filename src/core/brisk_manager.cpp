@@ -61,6 +61,18 @@ Result<std::unique_ptr<BriskManager>> BriskManager::create(const ManagerConfig& 
   return manager;
 }
 
+BriskManager::~BriskManager() {
+  // The gateway fan-out thread and the relay egress thread record into the
+  // ISM's flight recorder through raw pointers, and ism_ dies first: detach
+  // both and join their threads while that recorder is still alive.
+  gateway_->set_flight_recorder(nullptr);
+  gateway_->stop();
+  if (relay_) {
+    relay_->set_flight_recorder(nullptr);
+    relay_->stop();
+  }
+}
+
 Result<consumers::ShmConsumer> BriskManager::make_consumer() {
   // Re-attach so the consumer has its own cursor view... the ring is SPSC:
   // the single consumer is whoever reads; multiple consumers would race.

@@ -25,6 +25,9 @@ class BriskManager {
  public:
   static Result<std::unique_ptr<BriskManager>> create(
       const ManagerConfig& config, clk::Clock& clock = clk::SystemClock::instance());
+  ~BriskManager();
+  BriskManager(const BriskManager&) = delete;
+  BriskManager& operator=(const BriskManager&) = delete;
 
   /// Registers an extra output path as an unfiltered gateway subscriber
   /// (e.g. a vo::VoSink) under its own name(). Fails on a duplicate name.

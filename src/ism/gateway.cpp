@@ -68,7 +68,9 @@ Result<std::shared_ptr<ConsumerGateway>> ConsumerGateway::create(const GatewayCo
   return gateway;
 }
 
-ConsumerGateway::~ConsumerGateway() {
+ConsumerGateway::~ConsumerGateway() { stop(); }
+
+void ConsumerGateway::stop() {
   if (tcp_running_.load(std::memory_order_acquire)) {
     stop_.store(true, std::memory_order_release);
     wakeup_.signal();

@@ -163,6 +163,8 @@ class ConsumerGateway final : public Sink {
   [[nodiscard]] bool tcp_enabled() const noexcept { return tcp_running_; }
   /// Actual listener port (resolves port 0).
   [[nodiscard]] std::uint16_t consumer_port() const noexcept { return listen_port_; }
+  /// Stops and joins the TCP fan-out thread without draining (idempotent).
+  void stop();
 
   // ---- observability -------------------------------------------------------
   [[nodiscard]] GatewayStats stats() const;

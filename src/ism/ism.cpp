@@ -1,7 +1,6 @@
 #include "ism/ism.hpp"
 
 #include <poll.h>
-#include <sys/select.h>
 #include <sys/socket.h>
 
 #include <string>
@@ -1109,38 +1108,31 @@ Result<clk::PollSample> Ism::SocketSyncTransport::poll(std::size_t index) {
         if (!waiting_conn.outbox.empty() && remaining > 10'000) remaining = 10'000;
       }
     }
+    // Inline, the response arrives on the connection itself; threaded, it
+    // arrives through the fd's reader thread, so wait on the readers'
+    // wakeup fds and drain lanes as events land. poll(), not select(): an
+    // epoll ISM accepts fds past FD_SETSIZE.
+    std::vector<pollfd> wait_fds;
     if (ism_.threaded()) {
-      // The response arrives through the fd's reader thread; wait on the
-      // readers' wakeup pipes and drain lanes as events land.
-      std::vector<pollfd> wait_fds;
       wait_fds.reserve(ism_.readers_.size());
       for (auto& reader : ism_.readers_) {
         wait_fds.push_back(pollfd{reader->wakeup_fd(), POLLIN, 0});
       }
-      int wait_ms = static_cast<int>(remaining / 1'000);
-      if (wait_ms == 0) wait_ms = 1;
-      const int ready = ::poll(wait_fds.data(), wait_fds.size(), wait_ms);
-      if (ready < 0) {
-        if (errno == EINTR) continue;
-        wait_status = Status(Errc::io_error, "poll during time poll");
-        break;
-      }
+    } else {
+      wait_fds.push_back(pollfd{fd, POLLIN, 0});
+    }
+    int wait_ms = static_cast<int>(remaining / 1'000);
+    if (wait_ms == 0) wait_ms = 1;
+    const int ready = ::poll(wait_fds.data(), wait_fds.size(), wait_ms);
+    if (ready < 0) {
+      if (errno == EINTR) continue;
+      wait_status = Status(Errc::io_error, "poll during time poll");
+      break;
+    }
+    if (ism_.threaded()) {
       for (auto& reader : ism_.readers_) reader->drain_wakeup();
       ism_.drain_ingest();
-    } else {
-      fd_set read_set;
-      FD_ZERO(&read_set);
-      FD_SET(fd, &read_set);
-      timeval tv{};
-      tv.tv_sec = remaining / 1'000'000;
-      tv.tv_usec = remaining % 1'000'000;
-      const int ready = ::select(fd + 1, &read_set, nullptr, nullptr, &tv);
-      if (ready < 0) {
-        if (errno == EINTR) continue;
-        wait_status = Status(Errc::io_error, "select during time poll");
-        break;
-      }
-      if (ready == 0) continue;  // recheck deadline
+    } else if (ready > 0) {
       ism_.on_connection_readable(fd);
     }
     auto alive = ism_.connections_.find(fd);

@@ -322,10 +322,6 @@ void OrderingPipeline::resume_relay_lane(std::size_t lane_index) {
   relay_lanes_[lane_index]->flushed.store(false, std::memory_order_release);
 }
 
-std::size_t OrderingPipeline::relay_lane_count() const {
-  return relay_lanes_.size();
-}
-
 // ---- shard side -------------------------------------------------------------
 
 void OrderingPipeline::shard_emit(Shard& shard, sensors::Record record) {
@@ -640,11 +636,6 @@ SorterStats OrderingPipeline::sorter_stats() const {
   return total;
 }
 
-SorterStats OrderingPipeline::shard_sorter_stats(std::size_t shard) const {
-  std::lock_guard<std::mutex> lk(shards_[shard]->state_mutex);
-  return shards_[shard]->sorter->stats();
-}
-
 void OrderingPipeline::merge_disorder(metrics::Histogram& out) const {
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     merge_shard_disorder(i, out);
@@ -664,16 +655,6 @@ std::vector<std::size_t> OrderingPipeline::shard_depths() const {
     depths.push_back(shard->sorter->pending() + shard->input.size());
   }
   return depths;
-}
-
-std::vector<TimeMicros> OrderingPipeline::shard_frames() const {
-  std::vector<TimeMicros> frames;
-  frames.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lk(shard->state_mutex);
-    frames.push_back(shard->sorter->current_frame());
-  }
-  return frames;
 }
 
 CreStats OrderingPipeline::cre_stats() {

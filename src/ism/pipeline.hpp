@@ -151,7 +151,6 @@ class OrderingPipeline {
   /// Re-arms a flushed lane when its relay session resumes (same lane keeps
   /// the dedupe cursor upstream; watermarks continue monotonically).
   void resume_relay_lane(std::size_t lane);
-  [[nodiscard]] std::size_t relay_lane_count() const;
 
   [[nodiscard]] std::size_t shard_count() const noexcept { return shards_.size(); }
   [[nodiscard]] bool threaded() const noexcept {
@@ -159,14 +158,12 @@ class OrderingPipeline {
   }
   /// Aggregated over all shards (max_lateness_us reports the maximum).
   [[nodiscard]] SorterStats sorter_stats() const;
-  [[nodiscard]] SorterStats shard_sorter_stats(std::size_t shard) const;
   /// Bucket-wise merges every shard's (or one shard's) out-of-order lateness
   /// distribution into `out` — the disorder signal behind sort.disorder_us.
   void merge_disorder(metrics::Histogram& out) const;
   void merge_shard_disorder(std::size_t shard, metrics::Histogram& out) const;
   /// Records pending per shard (for the periodic stats line).
   [[nodiscard]] std::vector<std::size_t> shard_depths() const;
-  [[nodiscard]] std::vector<TimeMicros> shard_frames() const;
   [[nodiscard]] PipelineStats stats() const;
   /// Timestamp of the last record released through the k-way merge — the
   /// merge's release watermark. Monotone except for genuinely late records

@@ -10,7 +10,6 @@
 
 #include "common/error.hpp"
 #include "common/types.hpp"
-#include "net/frame.hpp"
 #include "net/poller.hpp"
 
 namespace brisk::lis {
@@ -38,13 +37,6 @@ struct ExsConfig {
   TimeMicros select_timeout_us = 40'000;
   /// Readiness-poll backend of the daemon loop.
   net::PollerBackend poller = net::PollerBackend::select;
-  /// Cap on outbound frames deferred by a full kernel send buffer. The
-  /// daemon subscribes to Readiness::writable only while this outbox holds
-  /// bytes; at the cap, sends fall back to a bounded blocking flush.
-  std::size_t outbox_bytes = net::kDefaultSendBufferBytes;
-  /// How long a send may block flushing a wedged outbox before the link
-  /// counts as lost (reconnect + replay take over).
-  TimeMicros send_stall_timeout_us = 2'000'000;
 
   // --- session resilience ----------------------------------------------------
   /// Identifies this EXS process lifetime to the ISM. 0 = derive a unique

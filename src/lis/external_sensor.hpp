@@ -6,22 +6,24 @@
 // data to the ISM."
 //
 // Split in two layers:
-//  * ExsCore — the node-side protocol logic, deterministic and socket-free:
-//    drains rings, applies the clock correction, batches, answers sync
-//    polls, and folds ADJUST deltas into the correction value. The session
-//    machinery (HELLO/HELLO_ACK/BATCH_ACK, go-back-N replay, credit
-//    pacing) lives in the shared tp::UpstreamLink — the same link a relay
-//    ISM uses toward its parent. Tests drive the core directly.
-//  * ExternalSensor — binds ExsCore to a real TCP connection and the
-//    select() loop, and owns connection survival: when the link to the ISM
-//    dies it reconnects on a tp::ReconnectSchedule (exponential backoff +
-//    jitter) while the core keeps draining rings into the bounded replay
-//    buffer. This is what the brisk_exs executable runs.
+//  * ExsCore — the node-side logic, deterministic and socket-free: drains
+//    rings, batches, and applies the clock correction to every record on
+//    its way out. The session machinery (HELLO/HELLO_ACK/BATCH_ACK,
+//    go-back-N replay, credit pacing) and the clock-sync slave (TIME_REQ
+//    replies, ADJUST folding) live in the shared tp::UpstreamLink — the same
+//    link a relay ISM uses toward its parent. Tests drive the core directly.
+//  * ExternalSensor — runs the core in the poller loop and binds its link to
+//    the ISM through tp::UpstreamClient, the socket half a relay egress runs
+//    too (outbox, stall-bounded send, reconnect on a backoff schedule,
+//    heartbeats, silence timeout). While the link is down the core keeps
+//    draining rings into the bounded replay buffer. This is what the
+//    brisk_exs executable runs.
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "clock/clock.hpp"
 #include "lis/batcher.hpp"
@@ -29,12 +31,10 @@
 #include "metrics/metrics.hpp"
 #include "lis/exs_config.hpp"
 #include "net/faulty_socket.hpp"
-#include "net/frame.hpp"
 #include "net/poller.hpp"
-#include "net/socket.hpp"
 #include "shm/multi_ring.hpp"
+#include "tp/upstream_client.hpp"
 #include "tp/upstream_link.hpp"
-#include "tp/wire.hpp"
 
 namespace brisk::lis {
 
@@ -55,15 +55,11 @@ class ExsCore {
   Status maybe_flush() { return batcher_.maybe_flush(); }
   Status flush() { return batcher_.flush(); }
 
-  /// Handles one frame from the ISM (TIME_REQ, ADJUST, HELLO_ACK,
-  /// BATCH_ACK, HEARTBEAT, BYE). Returns Errc::closed for BYE.
-  Status handle_frame(ByteSpan payload);
+  /// Handles one frame from the ISM; see tp::UpstreamLink::handle_frame.
+  Status handle_frame(ByteSpan payload) { return link_.handle_frame(payload); }
 
   /// Opens (or re-opens) the session; see tp::UpstreamLink::send_hello.
   Status send_hello() { return link_.send_hello(); }
-
-  /// Sends a liveness heartbeat (empty body).
-  Status send_heartbeat() { return link_.send_heartbeat(); }
 
   /// Snapshots the metrics registry into reserved-sensor-id records and
   /// feeds them through the batcher — metrics ship in-band, exactly like
@@ -78,9 +74,7 @@ class ExsCore {
   /// record timestamp on its way out ("the raw local time ... is added to a
   /// correction value maintained by the EXS, before sending the record to
   /// the ISM").
-  [[nodiscard]] TimeMicros correction() const noexcept { return correction_; }
-  /// The node clock as the sync protocol sees it (raw + correction).
-  [[nodiscard]] TimeMicros corrected_now() noexcept { return clock_.now() + correction_; }
+  [[nodiscard]] TimeMicros correction() const noexcept { return link_.correction(); }
 
   /// True once the ISM sent BYE (clean shutdown, not a link failure).
   [[nodiscard]] bool saw_bye() const noexcept { return link_.saw_bye(); }
@@ -114,14 +108,10 @@ class ExsCore {
   ExsConfig config_;
   shm::MultiRing rings_;
   clk::Clock& clock_;
-  FrameSink sink_;
   Batcher batcher_;
   tp::UpstreamLink link_;
-  TimeMicros correction_ = 0;
   std::uint64_t records_forwarded_ = 0;
   std::uint64_t transcode_errors_ = 0;
-  std::uint64_t sync_polls_answered_ = 0;
-  std::uint64_t sync_adjustments_ = 0;
   metrics::MetricsRegistry metrics_;
   SequenceNo metrics_sequence_ = 0;
   metrics::FlightRecorder flight_;
@@ -140,10 +130,11 @@ class ExternalSensor {
                                                          const std::string& ism_host,
                                                          std::uint16_t ism_port);
 
-  /// Runs the select() loop until `stop()`, an ISM BYE, or (when
+  /// Runs the poller loop until `stop()`, an ISM BYE, or (when
   /// max_reconnect_attempts > 0) the reconnect budget is exhausted. Each
-  /// cycle: handle inbound frames, drain rings, flush aged batches, send
-  /// heartbeats, and drive the reconnect schedule while the link is down.
+  /// cycle: service the ISM link (reconnect, deferred sends, inbound
+  /// frames), drain rings, flush aged batches, then heartbeats and the
+  /// silence check.
   Status run();
   /// Runs for at most `duration` (monotonic); for tests and benches.
   Status run_for(TimeMicros duration);
@@ -151,45 +142,26 @@ class ExternalSensor {
 
   /// Installs a frame-level fault policy on the outbound path (tests and
   /// the --fault-* flags of brisk_exs). Must be set before run().
-  void set_fault_policy(net::FaultPolicy policy) { fault_.set_policy(std::move(policy)); }
-  [[nodiscard]] const net::FaultStats& fault_stats() const noexcept { return fault_.stats(); }
+  void set_fault_policy(net::FaultPolicy policy) { client_.set_fault_policy(std::move(policy)); }
+  [[nodiscard]] const net::FaultStats& fault_stats() const noexcept {
+    return client_.fault_stats();
+  }
 
-  [[nodiscard]] bool connected() const noexcept { return connected_; }
-  [[nodiscard]] std::uint64_t reconnects() const noexcept { return reconnects_; }
-  [[nodiscard]] ExsCore& core() noexcept { return *core_; }
+  [[nodiscard]] bool connected() const noexcept { return client_.connected(); }
+  [[nodiscard]] std::uint64_t reconnects() const noexcept { return client_.reconnects(); }
+  [[nodiscard]] ExsCore& core() noexcept { return core_; }
 
  private:
-  ExternalSensor(const ExsConfig& config, net::TcpSocket socket);
+  ExternalSensor(const ExsConfig& config, shm::MultiRing rings, clk::Clock& clock,
+                 const std::string& ism_host, std::uint16_t ism_port);
 
   Status cycle();
-  Status pump_socket();
-  Status watch_socket();
-  Status write_out(ByteSpan frame);
-  /// Reconciles the socket's poller subscription with the outbox: writable
-  /// interest only while deferred bytes remain (want-writable toggling).
-  void update_write_interest();
-  void handle_disconnect();
-  void maybe_reconnect();
 
   ExsConfig config_;
-  net::TcpSocket socket_;
-  net::FaultySocket fault_;
-  net::FrameReader frame_reader_;
-  /// Outbound frames deferred by a full kernel send buffer; drained on
-  /// writable readiness so a slow ISM never blocks the daemon mid-frame.
-  net::FrameSendBuffer outbox_;
-  bool want_writable_ = false;
   std::unique_ptr<net::Poller> loop_;
-  std::unique_ptr<ExsCore> core_;
-  std::string ism_host_;
-  std::uint16_t ism_port_ = 0;
-  bool connected_ = false;
-  bool peer_closed_ = false;  // BYE received: clean shutdown, no reconnect
-  tp::ReconnectSchedule reconnect_;
-  TimeMicros last_rx_us_ = 0;       // monotonic, any inbound bytes
-  TimeMicros last_tx_us_ = 0;       // monotonic, any outbound frame
+  ExsCore core_;
+  tp::UpstreamClient client_;
   TimeMicros last_metrics_us_ = 0;  // monotonic, last metrics snapshot
-  std::uint64_t reconnects_ = 0;
 };
 
 }  // namespace brisk::lis

@@ -4,7 +4,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <sys/select.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -96,15 +96,12 @@ Status TcpSocket::write_all(ByteSpan bytes, TimeMicros timeout_us) {
       if (waited >= timeout_us) {
         return Status(Errc::timeout, "peer not draining; write_all gave up");
       }
-      fd_set write_set;
-      FD_ZERO(&write_set);
-      FD_SET(fd_.get(), &write_set);
-      timeval tv{};
+      // poll(), not select(): the fd may lie past FD_SETSIZE.
+      pollfd wait_fd{fd_.get(), POLLOUT, 0};
       const TimeMicros slice = 100'000 < timeout_us - waited ? 100'000 : timeout_us - waited;
-      tv.tv_sec = slice / 1'000'000;
-      tv.tv_usec = slice % 1'000'000;
-      const int ready = ::select(fd_.get() + 1, nullptr, &write_set, nullptr, &tv);
-      if (ready < 0 && errno != EINTR) return errno_status("select(write)");
+      const int slice_ms = slice < 1'000 ? 1 : static_cast<int>(slice / 1'000);
+      const int ready = ::poll(&wait_fd, 1, slice_ms);
+      if (ready < 0 && errno != EINTR) return errno_status("poll(write)");
       if (ready == 0) waited += slice;
       continue;
     }

@@ -1,8 +1,6 @@
-// The upstream half of a TP client: everything a peer needs to ship ordered
-// batches to an ISM and survive the link.
-//
-// Extracted from lis::ExternalSensor so the machinery has exactly one
-// implementation with two users:
+// The session half of a TP client: everything a peer needs to ship ordered
+// batches to an ISM and survive the link, with exactly one implementation
+// and two users:
 //  * the EXS daemon (lis::ExsCore wires its batcher's output here), and
 //  * a relay ISM's egress (ism::RelayEgress re-batches its post-merge
 //    stream onto the same link, making the relay "EXS-shaped" to its
@@ -10,12 +8,15 @@
 //
 // The link owns: the HELLO/HELLO_ACK session handshake (including the
 // capability word), the bounded go-back-N ReplayBuffer, cumulative
-// BATCH_ACK processing with stuck-cursor resend detection, and the
-// credit-window pacer (protocol v3). It is socket-free: frames leave
-// through a FrameSink callback and arrive through handle_frame(), so the
-// same code runs under a select() loop, a dedicated egress thread, or a
-// test harness. Clock concerns (TIME_REQ/ADJUST) deliberately stay with
-// the caller — the EXS and a relay fold corrections differently.
+// BATCH_ACK processing with stuck-cursor resend detection, the
+// credit-window pacer (protocol v3), and the clock-sync slave: it answers
+// the peer's TIME_REQ polls with its clock plus the accumulated correction
+// and folds ADJUST deltas into that correction. Each caller applies
+// correction() to its records its own way (the EXS through its batcher, a
+// relay through sensors::apply_time_delta). The link is socket-free:
+// frames leave through a FrameSink callback and arrive through
+// handle_frame(), so the same code runs under tp::UpstreamClient (the
+// socket half both callers share) or a test harness.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +28,6 @@
 #include "common/error.hpp"
 #include "tp/replay_buffer.hpp"
 #include "tp/wire.hpp"
-#include "xdr/xdr_decoder.hpp"
 
 namespace brisk::tp {
 
@@ -56,6 +56,8 @@ struct LinkStats {
   bool credit_active = false;
   std::uint32_t credit_window_records = 0;  // meaningful when credit_active
   std::uint64_t credit_window_bytes = 0;
+  std::uint64_t sync_polls_answered = 0;
+  std::uint64_t sync_adjustments = 0;
 };
 
 class UpstreamLink {
@@ -89,11 +91,16 @@ class UpstreamLink {
   /// order.
   Status ship_batch(ByteBuffer payload);
 
-  /// True for message types the link consumes (acks, heartbeat, bye).
-  [[nodiscard]] static bool owns_frame(MsgType type) noexcept;
-  /// Handles one link-owned frame body (type word already consumed).
-  /// Returns Errc::closed for BYE.
-  Status handle_frame(MsgType type, xdr::Decoder& decoder);
+  /// Handles one frame from the peer (TIME_REQ, ADJUST, HELLO_ACK,
+  /// BATCH_ACK, HEARTBEAT, BYE). Returns Errc::closed for BYE and
+  /// Errc::malformed for any other message type.
+  Status handle_frame(ByteSpan payload);
+
+  /// The clock correction the sync protocol has accumulated ("the raw local
+  /// time ... is added to a correction value maintained by the EXS").
+  [[nodiscard]] TimeMicros correction() const noexcept { return correction_; }
+  /// The local clock as the sync protocol sees it (raw + correction).
+  [[nodiscard]] TimeMicros corrected_now() noexcept { return clock_.now() + correction_; }
 
   /// Transport notifications from the daemon layer: while the link is
   /// down, batches accumulate in the replay buffer instead of being handed
@@ -147,6 +154,10 @@ class UpstreamLink {
   std::uint64_t batches_replayed_ = 0;
   std::uint64_t heartbeats_sent_ = 0;
   std::uint64_t acks_received_ = 0;
+  // --- clock-sync slave --------------------------------------------------------
+  TimeMicros correction_ = 0;
+  std::uint64_t sync_polls_answered_ = 0;
+  std::uint64_t sync_adjustments_ = 0;
   // --- credit-based flow control ---------------------------------------------
   /// True once a grant for this incarnation arrived and pacing applies.
   bool credit_active_ = false;
@@ -175,9 +186,9 @@ struct ReconnectConfig {
   std::uint32_t max_attempts = 0;
 };
 
-/// Exponential-backoff reconnect pacing with deterministic jitter, shared
-/// by the EXS daemon loop and the relay egress thread. The schedule only
-/// decides *when* to try; the caller owns the actual connect.
+/// Exponential-backoff reconnect pacing with deterministic jitter; drives
+/// tp::UpstreamClient's reconnects. The schedule only decides *when* to
+/// try; the client owns the actual connect.
 class ReconnectSchedule {
  public:
   ReconnectSchedule(const ReconnectConfig& config, std::uint64_t seed)

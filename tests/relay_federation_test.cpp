@@ -10,6 +10,7 @@
 // byte for byte, including a cross-relay tachyon the root must repair.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <string>
 #include <thread>
@@ -20,6 +21,7 @@
 #include "ism/ism.hpp"
 #include "ism/output.hpp"
 #include "ism/relay.hpp"
+#include "net/faulty_socket.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "sensors/event_record.hpp"
@@ -176,6 +178,18 @@ std::vector<std::string> encode_all(const std::vector<sensors::Record>& records)
   return out;
 }
 
+void expect_byte_identical(const std::vector<sensors::Record>& flat,
+                           const std::vector<sensors::Record>& tree) {
+  const std::vector<std::string> flat_bytes = encode_all(flat);
+  const std::vector<std::string> tree_bytes = encode_all(tree);
+  ASSERT_EQ(flat_bytes.size(), tree_bytes.size());
+  for (std::size_t i = 0; i < flat_bytes.size(); ++i) {
+    ASSERT_EQ(flat_bytes[i], tree_bytes[i])
+        << "first divergence at record " << i << ":\n  flat: " << flat[i].to_string()
+        << "\n  tree: " << tree[i].to_string();
+  }
+}
+
 /// Flat deployment: every node connects straight to one ISM.
 std::vector<sensors::Record> run_flat(
     const GridMode& mode, const std::map<NodeId, std::vector<sensors::Record>>& workload,
@@ -198,11 +212,45 @@ std::vector<sensors::Record> run_flat(
   return log->snapshot();
 }
 
+/// Root-side fault that costs the first relay its link at a moment when it
+/// holds unacknowledged batches. The relay's first HELLO_ACK is truncated to
+/// one body byte, so that session never opens and every batch the relay
+/// ships is parked in its replay buffer. BATCH_ACKs are dropped until
+/// `hold_acks` clears; the next ones complete the torn frame's declared
+/// length, and what the relay then decodes is garbage, so it drops the link,
+/// reconnects and replays its parked batches on the fresh session.
+struct PoisonedRelayLink {
+  std::atomic<bool> hold_acks{true};
+  std::atomic<bool> truncated{false};
+  /// The poisoned relay's link counters after its drain.
+  tp::LinkStats relay_link;
+
+  net::FaultPolicy policy() {
+    return [this](std::uint64_t, ByteSpan payload) {
+      net::FaultDecision decision;
+      if (payload.size() < 4) return decision;
+      const std::uint32_t type = (std::uint32_t{payload[0]} << 24) |
+                                 (std::uint32_t{payload[1]} << 16) |
+                                 (std::uint32_t{payload[2]} << 8) | std::uint32_t{payload[3]};
+      if (type == static_cast<std::uint32_t>(tp::MsgType::hello_ack) &&
+          !truncated.exchange(true)) {
+        decision.action = net::FaultAction::truncate;
+        decision.truncate_to = 1;
+      } else if (type == static_cast<std::uint32_t>(tp::MsgType::batch_ack) &&
+                 hold_acks.load()) {
+        decision.action = net::FaultAction::drop;
+      }
+      return decision;
+    };
+  }
+};
+
 /// 2-level tree: nodes split across `relay_count` relay ISMs, each of which
-/// forwards its ordered output to the root over a RelayEgress.
+/// forwards its ordered output to the root over a RelayEgress. With `poison`
+/// set, the root's fault policy cuts the first relay's link mid-drain.
 std::vector<sensors::Record> run_tree(
     const GridMode& mode, const std::map<NodeId, std::vector<sensors::Record>>& workload,
-    std::size_t total, std::size_t relay_count) {
+    std::size_t total, std::size_t relay_count, PoisonedRelayLink* poison = nullptr) {
   auto log = std::make_shared<DeliveredLog>();
   auto sink = std::make_shared<CallbackSink>(
       [log](const sensors::Record& r) { log->add(r); });
@@ -210,6 +258,7 @@ std::vector<sensors::Record> run_tree(
                          clk::SystemClock::instance(), sink);
   EXPECT_TRUE(root.is_ok()) << root.status().to_string();
   if (!root) return {};
+  if (poison != nullptr) root.value()->set_fault_policy(poison->policy());
   std::thread root_thread([&] { (void)root.value()->run(); });
 
   struct RelayNode {
@@ -249,7 +298,19 @@ std::vector<sensors::Record> run_tree(
     relay.thread.join();
     // Drains the relay pipeline into the egress, ships the batches, waits
     // for the root's acks, and says BYE.
-    EXPECT_TRUE(relay.ism->drain().ok());
+    std::thread drain([&] { EXPECT_TRUE(relay.ism->drain().ok()); });
+    if (poison != nullptr && poison->hold_acks.load()) {
+      // Release the acks that poison the link only once the relay holds
+      // unacknowledged batches, so the reconnect has something to replay.
+      const TimeMicros deadline = monotonic_micros() + 5'000'000;
+      while (relay.egress->stats().link.replay_pending == 0 &&
+             monotonic_micros() < deadline) {
+        sleep_micros(1'000);
+      }
+      poison->hold_acks.store(false);
+    }
+    drain.join();
+    if (poison != nullptr) poison->relay_link = relay.egress->stats().link;
     EXPECT_EQ(relay.egress->stats().records_forwarded, relay.expected);
   }
   EXPECT_TRUE(wait_for_received(*root.value(), total));
@@ -460,14 +521,7 @@ TEST_P(RelayFederationTest, TreeOutputByteIdenticalToFlat) {
     const std::vector<sensors::Record> tree =
         run_tree(GetParam(), workload, total, relay_count);
     ASSERT_EQ(tree.size(), total);
-    const std::vector<std::string> flat_bytes = encode_all(flat);
-    const std::vector<std::string> tree_bytes = encode_all(tree);
-    ASSERT_EQ(flat_bytes.size(), tree_bytes.size());
-    for (std::size_t i = 0; i < flat_bytes.size(); ++i) {
-      ASSERT_EQ(flat_bytes[i], tree_bytes[i])
-          << "first divergence at record " << i << ":\n  flat: " << flat[i].to_string()
-          << "\n  tree: " << tree[i].to_string();
-    }
+    expect_byte_identical(flat, tree);
   }
 }
 
@@ -492,6 +546,26 @@ TEST_P(RelayFederationTest, CrossRelayTachyonRepairedAtRoot) {
   // consequence past the reason.
   EXPECT_LT(reason_index, conseq_index);
   EXPECT_GT(tree[conseq_index].timestamp, tree[reason_index].timestamp);
+}
+
+TEST(RelayLinkLossTest, ReconnectReplaysAndRootOutputStaysByteIdenticalToFlat) {
+  const TimeMicros base = clk::SystemClock::instance().now();
+  const auto workload = make_workload(base);
+  std::size_t total = 0;
+  for (const auto& [node, records] : workload) total += records.size();
+  const GridMode mode{0, 1};
+
+  const std::vector<sensors::Record> flat = run_flat(mode, workload, total);
+  ASSERT_EQ(flat.size(), total);
+  // One relay: the poison must land on the relay whose drain it times.
+  PoisonedRelayLink poison;
+  const std::vector<sensors::Record> tree = run_tree(mode, workload, total, 1, &poison);
+  EXPECT_TRUE(poison.truncated.load()) << "the root never sent a HELLO_ACK to truncate";
+  EXPECT_GE(poison.relay_link.reconnects, 1u) << "the poisoned stream must cost the link";
+  EXPECT_GE(poison.relay_link.batches_replayed, 1u)
+      << "the batches parked behind the lost session must be replayed";
+  ASSERT_EQ(tree.size(), total);
+  expect_byte_identical(flat, tree);
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, RelayFederationTest,

@@ -7,12 +7,16 @@
 //  * seeded frame faults (drop / stall / truncate) on the outbound link,
 //    recovered by the BATCH_ACK go-back-N resend without duplicates,
 //  * heartbeats keeping record-free sessions alive,
-//  * quarantine expiry draining a crashed node's pending records.
+//  * quarantine expiry draining a crashed node's pending records,
+//  * manager teardown while TCP subscribers overrun, and the ISM's clock
+//    sync on a connection fd past FD_SETSIZE.
 // Labelled `resilience` in ctest; the sanitizer gate runs exactly this
 // suite (see BRISK_SANITIZE in the top-level CMakeLists).
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/resource.h>
+#include <sys/select.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -24,6 +28,7 @@
 #include <thread>
 
 #include "common/time_util.hpp"
+#include "consumers/gateway_client.hpp"
 #include "core/brisk_manager.hpp"
 #include "core/brisk_node.hpp"
 #include "ism/ism.hpp"
@@ -690,6 +695,139 @@ TEST(ResilienceTest, FaultDemoDropAndStallThroughRealBinaries) {
       << "5% drop + stalls must be fully recovered by replay";
 
   (void)shm::SharedRegion::open_named(node_shm).value().unlink();
+}
+
+// ---- teardown: the manager dies while TCP subscribers overrun ---------------
+
+TEST(ResilienceTest, ManagerTeardownWhileTcpSubscribersOverrun) {
+  // The gateway's fan-out thread records every queue drop into the ISM's
+  // flight recorder. Destroying the manager mid-overrun must stop that
+  // thread before the recorder dies; ASan reports the use-after-free
+  // otherwise. Several rounds, because the window is a race.
+  for (int round = 0; round < 4; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    ManagerConfig config = resilient_manager_config();
+    config.gateway.tcp_enabled = true;
+    config.gateway.outbox_bytes = 8'192;             // back-pressure reaches the queues fast
+    config.gateway.overrun_grace_us = 60'000'000;    // overrun without eviction
+    auto manager = BriskManager::create(config);
+    ASSERT_TRUE(manager.is_ok()) << manager.status().to_string();
+
+    std::vector<consumers::GatewayClient> stalled;  // subscribed, never polled
+    for (int i = 0; i < 4; ++i) {
+      consumers::GatewayClient::Options options;
+      options.name = "stalled-" + std::to_string(i);
+      options.queue_records = 8;
+      auto reader = consumers::GatewayClient::connect(
+          "127.0.0.1", manager.value()->consumer_port(), options);
+      ASSERT_TRUE(reader.is_ok()) << reader.status().to_string();
+      stalled.push_back(std::move(reader).value());
+    }
+
+    sensors::Record fat;
+    fat.node = 1;
+    fat.sensor = kSensor;
+    for (int i = 0; i < 8; ++i) {
+      fat.fields.push_back(sensors::Field::str(std::string(sensors::kMaxStringFieldBytes, 'x')));
+    }
+    ism::ConsumerGateway& gateway = manager.value()->gateway();
+    std::uint64_t pushed = 0;
+    auto push = [&](int count) {
+      for (int i = 0; i < count; ++i) {
+        fat.timestamp = static_cast<TimeMicros>(pushed);
+        fat.sequence = pushed++;
+        // No shm consumer: the built-in shm subscriber fills and refuses,
+        // which does not stop the TCP fan-out.
+        (void)gateway.accept(fat);
+      }
+    };
+    std::uint64_t dropped = 0;
+    const TimeMicros deadline = monotonic_micros() + 10'000'000;
+    while (dropped == 0 && monotonic_micros() < deadline) {
+      push(64);
+      for (const auto& sub : gateway.subscriber_stats()) dropped += sub.dropped;
+      sleep_micros(1'000);
+    }
+    ASSERT_GT(dropped, 0u) << "the stalled subscribers never overran";
+    // Thousands more, so the fan-out thread is still busy dropping when
+    // the manager goes.
+    push(4'096);
+    std::unique_ptr<BriskManager> doomed = std::move(manager).value();
+    doomed.reset();
+  }
+}
+
+// ---- clock sync on a connection fd past FD_SETSIZE --------------------------
+
+/// Holds descriptors open so the next ones the process allocates land at or
+/// above `floor`.
+class FdPadding {
+ public:
+  explicit FdPadding(int floor) {
+    for (;;) {
+      const int fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+      if (fd < 0) break;
+      fds_.push_back(fd);
+      if (fd >= floor - 1) break;
+    }
+  }
+  ~FdPadding() {
+    for (int fd : fds_) ::close(fd);
+  }
+  FdPadding(const FdPadding&) = delete;
+  FdPadding& operator=(const FdPadding&) = delete;
+
+  [[nodiscard]] bool reached(int floor) const { return !fds_.empty() && fds_.back() >= floor - 1; }
+
+ private:
+  std::vector<int> fds_;
+};
+
+TEST(ResilienceTest, SyncPollAnsweredOnConnectionFdPastFdSetSize) {
+  // Under --poller epoll the ISM accepts fds past FD_SETSIZE. The inline
+  // sync poll waits on the connection fd itself, and must not hand it to
+  // select(): FD_SET on such an fd writes past the fd_set.
+  rlimit limit{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &limit), 0);
+  if (limit.rlim_cur < static_cast<rlim_t>(FD_SETSIZE) + 64) {
+    GTEST_SKIP() << "RLIMIT_NOFILE " << limit.rlim_cur << " leaves no room past FD_SETSIZE";
+  }
+
+  ManagerConfig manager_config = resilient_manager_config();
+  manager_config.ism.poller = net::PollerBackend::epoll;
+  manager_config.ism.enable_sync = true;
+  manager_config.ism.sync.period_us = 50'000;
+  manager_config.ism.sync.brisk.polls_per_round = 2;
+  manager_config.ism.sync_poll_timeout_us = 500'000;
+  auto manager = BriskManager::create(manager_config);
+  ASSERT_TRUE(manager.is_ok()) << manager.status().to_string();
+  NodeConfig node_config = resilient_node_config(1);
+  node_config.exs.poller = net::PollerBackend::epoll;
+  auto node = BriskNode::create(node_config);
+  ASSERT_TRUE(node.is_ok()) << node.status().to_string();
+
+  // The EXS's socket and the ISM's accepted socket are the next two fds.
+  FdPadding padding(FD_SETSIZE);
+  ASSERT_TRUE(padding.reached(FD_SETSIZE)) << "could not pad the fd table";
+  auto exs = node.value()->connect_exs("127.0.0.1", manager.value()->port());
+  ASSERT_TRUE(exs.is_ok()) << exs.status().to_string();
+
+  {
+    ScopedThread ism_thread([&] { (void)manager.value()->run_for(10'000'000); });
+    Stopper stop_ism{[&] { manager.value()->stop(); }};
+    // The EXS runs on this thread, so its counters are safe to read here.
+    const TimeMicros deadline = monotonic_micros() + 8'000'000;
+    while (exs.value()->core().stats().sync_polls_answered < 4 &&
+           monotonic_micros() < deadline) {
+      ASSERT_TRUE(exs.value()->run_for(20'000));
+    }
+  }
+
+  EXPECT_GE(exs.value()->core().stats().sync_polls_answered, 4u)
+      << "the ISM's sync polls never reached the EXS";
+  ASSERT_NE(manager.value()->ism().sync(), nullptr);
+  EXPECT_GE(manager.value()->ism().sync()->rounds_run(), 1u);
+  EXPECT_EQ(exs.value()->reconnects(), 0u) << "a sync round must not cost the link";
 }
 
 }  // namespace
