@@ -17,7 +17,9 @@
 #   5. latency smoke: ISM + two traced EXS daemons with synthetic
 #      workloads, then brisk_consume --mode latency — every stage-pair
 #      histogram must report, and --trace-out must emit a Chrome trace
-#      JSON with spans from both nodes
+#      JSON with spans from both nodes, whose per-record NOTICE->seal
+#      (ring stamp to seal stamp) p99 must stay within the default batch
+#      age (20 ms) + 10 ms
 #   6. flow-control smoke: an overdriven brisk_exs (300k ev/s) against a
 #      brisk_ism whose ordering thread is periodically stalled (outbound
 #      fault injection) with tiny ingest lanes — with credit grants off the
@@ -177,6 +179,23 @@ assert spans, "no trace spans in Chrome trace JSON"
 pids = {e["pid"] for e in spans}
 assert {1, 2} <= pids, f"expected spans from both nodes, got pids {sorted(pids)}"
 print(f"latency smoke: {len(spans)} spans from nodes {sorted(pids)}")
+# Batch age counts from NOTICE and the EXS wakes when something is due (the
+# open batch's deadline, or one batch age while none is open), so at the
+# daemon defaults (batch age 20 ms, select 40 ms) no record waits past its
+# age for a fixed select wakeup. Per traced record, NOTICE->seal (ring
+# stamp to seal stamp) p99 must stay within the batch age + 10 ms of slop.
+ring, seal = {}, {}
+for e in spans:
+    key = (e["pid"], e["args"]["trace_id"])
+    if e["name"] == "ring_to_drain":
+        ring[key] = e["ts"]
+    elif e["name"] == "drain_to_seal":
+        seal[key] = e["ts"] + e["dur"]
+gaps = sorted(seal[k] - ring[k] for k in ring.keys() & seal.keys())
+assert gaps, "no record traced from ring to seal"
+p99 = gaps[min(len(gaps) - 1, len(gaps) * 99 // 100)]
+assert p99 <= 30000, f"NOTICE->seal p99 {p99} us exceeds the 20000 us batch age + 10000 us"
+print(f"latency smoke: NOTICE->seal p99 {p99} us over {len(gaps)} records (bound 30000 us)")
 PYEOF
 cleanup_latency_smoke
 trap - EXIT

@@ -53,8 +53,11 @@ brisk::apps::FlagRegistry make_registry() {
       .add_string("poller", "select", "readiness backend: select or epoll")
       .add_int("batch-records", 256, "flush a batch after this many records")
       .add_int("batch-bytes", 32768, "flush a batch after this many bytes")
-      .add_int("batch-age-us", 20'000, "flush a batch older than this")
-      .add_int("select-timeout-us", 40'000, "poll cycle timeout in microseconds")
+      .add_int("batch-age-us", 20'000,
+               "flush a batch once its oldest record is this old, counted from its NOTICE")
+      .add_int("select-timeout-us", 40'000,
+               "longest idle wait in microseconds (the latency floor only when "
+               "--batch-age-us is 0)")
       .add_int("replay-batches", 256, "replay buffer cap in batches")
       .add_int("replay-bytes", 0, "replay buffer cap in bytes (0 = unlimited)")
       .add_int("backoff-base-us", 50'000, "reconnect backoff base")

@@ -1,5 +1,10 @@
 #include "lis/batcher.hpp"
 
+#include <algorithm>
+#include <cstring>
+
+#include "sensors/record_codec.hpp"
+
 namespace brisk::lis {
 
 Batcher::Batcher(const ExsConfig& config, clk::Clock& clock, BatchSink sink)
@@ -12,17 +17,24 @@ Status Batcher::add_native_record(ByteSpan native, TimeMicros ts_delta) {
     Status st = flush();
     if (!st) return st;
   }
-  if (builder_.empty()) oldest_record_at_ = clock_.now();
+  const bool opens_batch = builder_.empty();
   last_ts_delta_ = ts_delta;
   Status st = builder_.add_native_record(native, ts_delta);
   if (!st) return st;
+  // The builder validated the header, so the raw (uncorrected) node-clock
+  // NOTICE stamp is readable. Clamping the first stamp bounds the whole
+  // batch's minimum by the clock, so later records need no clock read.
+  TimeMicros noticed = 0;
+  std::memcpy(&noticed, native.data() + sensors::kNativeTimestampOffset, sizeof noticed);
+  oldest_notice_at_ = opens_batch ? std::min(noticed, clock_.now())
+                                  : std::min(noticed, oldest_notice_at_);
   if (builder_.record_count() >= effective_max_records()) return flush();
   return Status::ok();
 }
 
 Status Batcher::maybe_flush() {
   if (builder_.empty()) return Status::ok();
-  if (clock_.now() - oldest_record_at_ >= config_.batch_max_age_us) return flush();
+  if (clock_.now() >= due_at()) return flush();
   return Status::ok();
 }
 

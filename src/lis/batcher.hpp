@@ -1,7 +1,9 @@
 // Batching with latency control (the "batching, latency control" box of the
 // EXS in Fig. 1). Wraps a tp::BatchBuilder with the flush policy: a batch
 // goes out when it reaches the record/byte limits or when its oldest record
-// exceeds the age limit.
+// exceeds the age limit. Age counts from the record's NOTICE timestamp, not
+// from when the EXS drained it, so the time a record sat in the ring counts
+// against the limit too.
 #pragma once
 
 #include <functional>
@@ -25,8 +27,16 @@ class Batcher {
   /// if the record limit is reached.
   Status add_native_record(ByteSpan native, TimeMicros ts_delta);
 
-  /// Flushes if the age/size policy says so. Call once per loop cycle.
+  /// Flushes if the open batch is due (see due_at()). Call once per loop
+  /// cycle.
   Status maybe_flush();
+
+  /// Node-clock time at which the open batch is due to flush by age: its
+  /// oldest record's NOTICE timestamp plus batch_max_age_us. Meaningless
+  /// while the batch is empty.
+  [[nodiscard]] TimeMicros due_at() const noexcept {
+    return oldest_notice_at_ + config_.batch_max_age_us;
+  }
 
   /// Unconditional flush of a non-empty batch.
   Status flush();
@@ -55,7 +65,9 @@ class Batcher {
   BatchSink sink_;
   tp::BatchBuilder builder_;
   std::uint32_t record_cap_ = 0;  // 0 = config_.batch_max_records
-  TimeMicros oldest_record_at_ = 0;  // clock time the current batch started
+  /// Oldest NOTICE timestamp in the open batch. The first record's stamp is
+  /// clamped to the clock, so a future-stamped record cannot defer a flush.
+  TimeMicros oldest_notice_at_ = 0;
   /// Correction of the most recent record added; flush() uses it to stamp
   /// the batch_seal / tp_send trace slots in the synchronized timebase.
   TimeMicros last_ts_delta_ = 0;

@@ -2,7 +2,7 @@
 // many of BRISK's subsystems, so that users can trade-off among the various
 // simple and complex IS performance metrics in a specific working
 // environment" — these are the LIS-side knobs (batching vs latency, ring
-// polling, the select timeout that sets the latency floor).
+// polling, the select timeout that caps an idle wait).
 #pragma once
 
 #include <cstdint>
@@ -22,8 +22,11 @@ struct ExsConfig {
   std::uint32_t batch_max_records = 256;
   /// ...or at this many payload bytes...
   std::uint32_t batch_max_bytes = 32 * 1024;
-  /// ...or when its oldest record is this old. 0 = flush every cycle
-  /// (lowest latency, lowest throughput).
+  /// ...or when its oldest record is this old, counted from the record's
+  /// NOTICE timestamp (time spent in the ring counts). The loop wakes at
+  /// that deadline, so every record is sealed within this age of its
+  /// NOTICE whatever select_timeout_us is. 0 = flush every cycle (lowest
+  /// latency, lowest throughput).
   TimeMicros batch_max_age_us = 20'000;
 
   // --- ring draining --------------------------------------------------------
@@ -32,8 +35,10 @@ struct ExsConfig {
   std::uint32_t drain_burst = 1024;
 
   // --- event loop ------------------------------------------------------------
-  /// select() timeout; the paper observed this bounds worst-case record
-  /// latency ("up to 40 ms").
+  /// Longest select() wait: the cap on an idle cycle and on the wait for
+  /// an open batch's age deadline. With batch_max_age_us == 0 it is the
+  /// plain wait between ring drains, and so bounds worst-case record
+  /// latency as the paper observed ("up to 40 ms").
   TimeMicros select_timeout_us = 40'000;
   /// Readiness-poll backend of the daemon loop.
   net::PollerBackend poller = net::PollerBackend::select;

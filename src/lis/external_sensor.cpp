@@ -97,6 +97,13 @@ Result<std::size_t> ExsCore::drain_rings() {
   return drained;
 }
 
+TimeMicros ExsCore::wait_us() const noexcept {
+  const TimeMicros cap = config_.select_timeout_us;
+  if (config_.batch_max_age_us == 0) return cap;
+  if (batcher_.pending_records() == 0) return std::min(cap, config_.batch_max_age_us);
+  return std::clamp(batcher_.due_at() - clock_.now(), TimeMicros{0}, cap);
+}
+
 Status ExsCore::emit_metrics() {
   const auto samples = metrics_.snapshot();
   auto records = metrics::snapshot_to_records(samples, config_.node, clock_.now(),
@@ -245,13 +252,13 @@ Status ExternalSensor::cycle() {
 }
 
 Status ExternalSensor::run() {
-  return loop_->run(config_.select_timeout_us);
+  return loop_->run([this] { return core_.wait_us(); });
 }
 
 Status ExternalSensor::run_for(TimeMicros duration) {
   const TimeMicros deadline = monotonic_micros() + duration;
   while (monotonic_micros() < deadline && !loop_->stopped()) {
-    auto polled = loop_->poll_once(config_.select_timeout_us);
+    auto polled = loop_->poll_once(core_.wait_us());
     if (!polled) return polled.status();
   }
   return Status::ok();

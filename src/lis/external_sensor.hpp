@@ -53,6 +53,12 @@ class ExsCore {
 
   /// Age-based flush; call once per loop cycle.
   Status maybe_flush() { return batcher_.maybe_flush(); }
+
+  /// How long the loop may wait before something is due: until the open
+  /// batch's age deadline, or batch_max_age_us with no batch open, either
+  /// capped at select_timeout_us. batch_max_age_us == 0 (flush every cycle)
+  /// keeps the plain select_timeout_us wait.
+  [[nodiscard]] TimeMicros wait_us() const noexcept;
   Status flush() { return batcher_.flush(); }
 
   /// Handles one frame from the ISM; see tp::UpstreamLink::handle_frame.
@@ -132,9 +138,9 @@ class ExternalSensor {
 
   /// Runs the poller loop until `stop()`, an ISM BYE, or (when
   /// max_reconnect_attempts > 0) the reconnect budget is exhausted. Each
-  /// cycle: service the ISM link (reconnect, deferred sends, inbound
-  /// frames), drain rings, flush aged batches, then heartbeats and the
-  /// silence check.
+  /// cycle waits ExsCore::wait_us() for readiness, then services the ISM
+  /// link (reconnect, deferred sends, inbound frames), drains rings, flushes
+  /// aged batches, and runs heartbeats and the silence check.
   Status run();
   /// Runs for at most `duration` (monotonic); for tests and benches.
   Status run_for(TimeMicros duration);

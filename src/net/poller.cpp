@@ -11,11 +11,11 @@
 
 namespace brisk::net {
 
-Status Poller::run(TimeMicros cycle_timeout) {
+Status Poller::run(const std::function<TimeMicros()>& cycle_timeout) {
   // Deliberately no reset of stop_ here: a stop() that raced ahead of this
   // thread entering run() must win, or the caller's join() deadlocks.
   while (!stopped()) {
-    auto result = poll_once(cycle_timeout);
+    auto result = poll_once(cycle_timeout());
     if (!result) return result.status();
   }
   return Status::ok();

@@ -74,8 +74,13 @@ class Poller {
   virtual Result<int> poll_once(TimeMicros timeout) = 0;
 
   /// Runs until `stop()` is called (from a callback, or from another thread
-  /// — the flag is atomic and checked once per poll cycle).
-  Status run(TimeMicros cycle_timeout);
+  /// — the flag is atomic and checked once per poll cycle). `cycle_timeout`
+  /// is asked for each cycle's wait, so a loop can wait until its next
+  /// deadline instead of a fixed period.
+  Status run(const std::function<TimeMicros()>& cycle_timeout);
+  Status run(TimeMicros cycle_timeout) {
+    return run([cycle_timeout] { return cycle_timeout; });
+  }
   void stop() noexcept { stop_.store(true, std::memory_order_release); }
   [[nodiscard]] bool stopped() const noexcept {
     return stop_.load(std::memory_order_acquire);

@@ -440,11 +440,18 @@ TEST(GatewayTcp, SlowConsumerSeesDropOldestThenEvictionFastConsumerLosesNothing)
     fat.fields.push_back(Field::str(std::string(sensors::kMaxStringFieldBytes, 'x')));
   }
 
+  // The pusher stands in for the pipeline and stays within the fan-out
+  // lane: records the fast reader has not seen yet bound the lane backlog,
+  // so keeping them under half the lane means a pusher cannot outrun a
+  // slowed-down (sanitizer-built) fan-out thread and drop records the
+  // fast reader must see. The open-loop burst below checks the lane itself.
+  const std::uint64_t lane_records = GatewayConfig{}.lane_records;
+  const std::uint64_t max_unseen = lane_records / 2;
   std::uint64_t pushed = 0;
   std::uint64_t fast_got = 0;
   const TimeMicros deadline = monotonic_micros() + 20'000'000;
   while (gateway->stats().tcp_evicted == 0 && monotonic_micros() < deadline) {
-    for (int i = 0; i < 32; ++i) {
+    for (int i = 0; i < 32 && pushed - fast_got < max_unseen; ++i) {
       fat.timestamp = static_cast<TimeMicros>(pushed);
       fat.sequence = pushed;
       ASSERT_TRUE(gateway->accept(fat));
@@ -463,18 +470,33 @@ TEST(GatewayTcp, SlowConsumerSeesDropOldestThenEvictionFastConsumerLosesNothing)
   EXPECT_EQ(gateway->stats().lane_drops, 0u);
 
   // Drain the fast reader to completion: zero loss, strict order.
-  const TimeMicros drain_deadline = monotonic_micros() + 10'000'000;
-  while (fast_got < pushed && monotonic_micros() < drain_deadline) {
-    auto polled = fast.value().poll();
-    ASSERT_TRUE(polled.is_ok()) << polled.status().to_string();
-    if (!polled.value().has_value()) {
-      sleep_micros(1'000);
-      continue;
+  auto drain_fast = [&] {
+    const TimeMicros drain_deadline = monotonic_micros() + 10'000'000;
+    while (fast_got < pushed && monotonic_micros() < drain_deadline) {
+      auto polled = fast.value().poll();
+      ASSERT_TRUE(polled.is_ok()) << polled.status().to_string();
+      if (!polled.value().has_value()) {
+        sleep_micros(1'000);
+        continue;
+      }
+      EXPECT_EQ(polled.value()->timestamp, static_cast<TimeMicros>(fast_got));
+      ++fast_got;
     }
-    EXPECT_EQ(polled.value()->timestamp, static_cast<TimeMicros>(fast_got));
-    ++fast_got;
+    EXPECT_EQ(fast_got, pushed);
+  };
+  drain_fast();
+
+  // With the lane empty (the fast reader has seen every record), an
+  // open-loop burst of one full lane, pushed without waiting for any
+  // reader, must fit the lane however slow the fan-out thread is, and
+  // reach the fast reader complete and in order.
+  for (const std::uint64_t burst_end = pushed + lane_records; pushed < burst_end; ++pushed) {
+    fat.timestamp = static_cast<TimeMicros>(pushed);
+    fat.sequence = pushed;
+    ASSERT_TRUE(gateway->accept(fat));
   }
-  EXPECT_EQ(fast_got, pushed);
+  EXPECT_EQ(gateway->stats().lane_drops, 0u);
+  drain_fast();
 
   // The slow subscriber's final counters survive its disconnection: records
   // were dropped oldest-first and the drop count is visible — the same

@@ -5,6 +5,7 @@
 // named-shm attach between "processes".
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
@@ -14,6 +15,7 @@
 #include "core/brisk_manager.hpp"
 #include "core/brisk_node.hpp"
 #include "picl/picl_reader.hpp"
+#include "sensors/trace_record.hpp"
 
 namespace brisk {
 namespace {
@@ -104,6 +106,61 @@ TEST(IntegrationTest, SingleNodeEndToEnd) {
   consumers::TraceStats stats;
   for (const auto& record : records) stats.add(record);
   EXPECT_EQ(stats.summary().out_of_order, 0u);
+}
+
+TEST(IntegrationTest, BatchSealsWithinItsAgeOfNoticeUnderALongSelectTimeout) {
+  // Batch age counts from NOTICE and the EXS wakes at the open batch's
+  // deadline, so a long select timeout is only the idle cap: every record
+  // must be sealed within about one age of its NOTICE, not one or two
+  // select periods later.
+  auto manager = BriskManager::create(fast_manager_config());
+  ASSERT_TRUE(manager.is_ok()) << manager.status().to_string();
+  auto consumer = manager.value()->make_consumer();
+  ASSERT_TRUE(consumer.is_ok());
+
+  NodeConfig node_config = fast_node_config(1);
+  node_config.trace_sample_rate = 1.0;
+  node_config.exs.select_timeout_us = 100'000;
+  node_config.exs.batch_max_age_us = 5'000;
+  auto node = BriskNode::create(node_config);
+  ASSERT_TRUE(node.is_ok()) << node.status().to_string();
+  auto sensor = node.value()->make_sensor();
+  ASSERT_TRUE(sensor.is_ok());
+  auto exs = node.value()->connect_exs("127.0.0.1", manager.value()->port());
+  ASSERT_TRUE(exs.is_ok()) << exs.status().to_string();
+
+  ScopedThread ism_thread([&] { (void)manager.value()->run_for(3'000'000); });
+  ScopedThread exs_thread([&] { (void)exs.value()->run_for(3'000'000); });
+
+  // Spread over three select periods, so records land at every phase of
+  // the EXS's wait.
+  constexpr int kEvents = 60;
+  for (int i = 0; i < kEvents; ++i) {
+    ASSERT_TRUE(BRISK_NOTICE(sensor.value(), 7, x_i32(i)));
+    sleep_micros(5'000);
+  }
+
+  // Each data record is followed by its span record (0xFF02).
+  auto records = collect(consumer.value(), 2 * kEvents);
+  exs.value()->stop();
+  manager.value()->stop();
+
+  std::size_t spans = 0;
+  TimeMicros worst_notice_to_seal = 0;
+  for (const auto& record : records) {
+    if (!sensors::is_trace_record(record)) continue;
+    auto trace = sensors::decode_trace_record(record);
+    ASSERT_TRUE(trace.is_ok()) << trace.status().to_string();
+    const auto* noticed = trace.value().find(sensors::TraceStage::ring_enqueue);
+    const auto* sealed = trace.value().find(sensors::TraceStage::batch_seal);
+    ASSERT_NE(noticed, nullptr);
+    ASSERT_NE(sealed, nullptr);
+    worst_notice_to_seal = std::max(worst_notice_to_seal, sealed->at - noticed->at);
+    ++spans;
+  }
+  ASSERT_EQ(spans, static_cast<std::size_t>(kEvents));
+  EXPECT_LT(worst_notice_to_seal, 50'000)
+      << "a record waited for a select timeout instead of its batch age";
 }
 
 TEST(IntegrationTest, MultiNodeMergeIsTimestampOrdered) {

@@ -93,13 +93,50 @@ TEST_F(BatcherTest, FlushAtByteLimit) {
 TEST_F(BatcherTest, AgeBasedFlush) {
   config_.batch_max_age_us = 5'000;
   Batcher batcher = make_batcher();
-  auto native = native_of(test_record(10));
+  auto native = native_of(test_record(clock_.now()));
   ASSERT_TRUE(batcher.add_native_record(native.view(), 0));
   ASSERT_TRUE(batcher.maybe_flush());
   EXPECT_TRUE(sent_.empty()) << "too young to flush";
   clock_.advance(6'000);
   ASSERT_TRUE(batcher.maybe_flush());
   ASSERT_EQ(sent_.size(), 1u);
+}
+
+TEST_F(BatcherTest, AgeCountsFromNoticeNotFromAdd) {
+  // A record that sat in the ring for more than one age is due the moment
+  // it reaches the batcher.
+  config_.batch_max_age_us = 5'000;
+  Batcher batcher = make_batcher();
+  ASSERT_TRUE(batcher.add_native_record(native_of(test_record(clock_.now() - 6'000)).view(), 0));
+  ASSERT_TRUE(batcher.maybe_flush());
+  EXPECT_EQ(sent_.size(), 1u);
+}
+
+TEST_F(BatcherTest, OldestNoticeSetsTheDeadline) {
+  config_.batch_max_age_us = 5'000;
+  Batcher batcher = make_batcher();
+  const TimeMicros t0 = clock_.now();
+  ASSERT_TRUE(batcher.add_native_record(native_of(test_record(t0)).view(), 0));
+  // A later-added but older record (another ring) pulls the deadline in.
+  ASSERT_TRUE(batcher.add_native_record(native_of(test_record(t0 - 4'000)).view(), 0));
+  EXPECT_EQ(batcher.due_at(), t0 + 1'000);
+  clock_.advance(999);
+  ASSERT_TRUE(batcher.maybe_flush());
+  EXPECT_TRUE(sent_.empty());
+  clock_.advance(1);
+  ASSERT_TRUE(batcher.maybe_flush());
+  EXPECT_EQ(sent_.size(), 1u);
+}
+
+TEST_F(BatcherTest, FutureNoticeClampsToNow) {
+  config_.batch_max_age_us = 5'000;
+  Batcher batcher = make_batcher();
+  const TimeMicros t0 = clock_.now();
+  ASSERT_TRUE(batcher.add_native_record(native_of(test_record(t0 + 3'600'000'000)).view(), 0));
+  EXPECT_EQ(batcher.due_at(), t0 + 5'000);
+  clock_.advance(5'000);
+  ASSERT_TRUE(batcher.maybe_flush());
+  EXPECT_EQ(sent_.size(), 1u) << "a future stamp must not defer the flush";
 }
 
 TEST_F(BatcherTest, EmptyBatchNeverSent) {
@@ -237,6 +274,53 @@ TEST_F(ExsCoreTest, DrainsSensorsAcrossSlots) {
   auto batches = sent_batches();
   ASSERT_EQ(batches.size(), 1u);
   EXPECT_EQ(batches[0].records.size(), 2u);
+}
+
+TEST_F(ExsCoreTest, WaitRunsToTheOpenBatchDeadline) {
+  config_.batch_max_age_us = 5'000;
+  config_.select_timeout_us = 40'000;
+  core_ = std::make_unique<ExsCore>(config_, rings_, clock_, [this](ByteBuffer payload) {
+    frames_.push_back(std::move(payload));
+    return Status::ok();
+  });
+  EXPECT_EQ(core_->wait_us(), 5'000) << "idle: one age, under the select cap";
+  auto ring = rings_.claim_slot();
+  ASSERT_TRUE(ring.is_ok());
+  sensors::Sensor sensor(ring.value(), clock_);
+  ASSERT_TRUE(sensor.notice(1, sensors::x_i32(1)));
+  clock_.advance(2'000);  // the record waits in the ring before the drain
+  ASSERT_TRUE(core_->drain_rings());
+  ASSERT_TRUE(core_->maybe_flush());
+  EXPECT_EQ(core_->wait_us(), 3'000) << "deadline - now, counted from NOTICE";
+  clock_.advance(3'000);
+  EXPECT_EQ(core_->wait_us(), 0);
+  ASSERT_TRUE(core_->maybe_flush());
+  EXPECT_EQ(sent_batches().size(), 1u);
+  EXPECT_EQ(core_->wait_us(), 5'000);
+}
+
+TEST_F(ExsCoreTest, WaitIsCappedBySelectTimeout) {
+  config_.batch_max_age_us = 20'000;
+  config_.select_timeout_us = 8'000;
+  core_ = std::make_unique<ExsCore>(config_, rings_, clock_, [this](ByteBuffer payload) {
+    frames_.push_back(std::move(payload));
+    return Status::ok();
+  });
+  EXPECT_EQ(core_->wait_us(), 8'000) << "idle: min(select, age)";
+  auto ring = rings_.claim_slot();
+  ASSERT_TRUE(ring.is_ok());
+  sensors::Sensor sensor(ring.value(), clock_);
+  ASSERT_TRUE(sensor.notice(1, sensors::x_i32(1)));
+  ASSERT_TRUE(core_->drain_rings());
+  EXPECT_EQ(core_->wait_us(), 8'000) << "open batch due in 20 ms, still capped";
+}
+
+TEST_F(ExsCoreTest, ZeroAgeKeepsThePlainSelectWait) {
+  // The fixture flushes every cycle (batch_max_age_us = 0): the wait is the
+  // select timeout, never a zero-length spin on an empty batch.
+  EXPECT_EQ(core_->wait_us(), config_.select_timeout_us);
+  clock_.advance(1'000'000);
+  EXPECT_EQ(core_->wait_us(), config_.select_timeout_us);
 }
 
 TEST_F(ExsCoreTest, DrainBurstBoundsWork) {

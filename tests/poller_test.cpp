@@ -171,6 +171,20 @@ TEST_P(PollerTest, StopEndsRun) {
   EXPECT_TRUE(loop->stopped());
 }
 
+TEST_P(PollerTest, RunAsksForEveryCycleTimeout) {
+  auto loop = make();
+  int idles = 0;
+  int asked = 0;
+  loop->set_idle([&] {
+    if (++idles == 3) loop->stop();
+  });
+  ASSERT_TRUE(loop->run([&] {
+    ++asked;
+    return TimeMicros{1'000};
+  }));
+  EXPECT_EQ(asked, 3);
+}
+
 TEST_P(PollerTest, RejectsInvalidWatch) {
   auto loop = make();
   EXPECT_EQ(loop->watch(-1, [](int, Readiness) {}).code(), Errc::invalid_argument);
