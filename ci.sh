@@ -47,16 +47,18 @@
 #  11. sanitize: a separate ASan+UBSan tree running the resilience label
 #      (including the flow-control property suite, manager teardown while
 #      TCP subscribers overrun, and the ISM's sync poll on a connection fd
-#      past FD_SETSIZE), which is where lifetime and data-race-adjacent bugs
-#      actually surface
+#      past FD_SETSIZE) plus the EXS merge stress (two producer threads
+#      NOTICE into two rings of one node while the EXS drains), which is
+#      where lifetime and data-race-adjacent bugs actually surface
 #  12. tsan: a TSan tree over the threaded ingest/ordering/metrics/trace
 #      tests plus the flow-control property suite, the consumer-gateway
 #      suite, the federation suite (relay lanes, two-hop sync, metrics
 #      aggregation, relay link loss with reconnect and replay), and the
-#      flight-recorder and health-rollup suites — the cross-thread stats
-#      counters, the credit drained-record cells, the relay lane cells, the
-#      relay egress thread's shared upstream client, and the gateway's
-#      fan-out thread must stay clean on the whole grid
+#      flight-recorder and health-rollup suites, and the EXS merge stress —
+#      the cross-thread stats counters, the credit drained-record cells, the
+#      relay lane cells, the relay egress thread's shared upstream client,
+#      the gateway's fan-out thread, and the EXS peeking ring heads while
+#      producers push must stay clean on the whole grid
 #
 # Usage: ./ci.sh [--skip-sanitize]
 set -euo pipefail
@@ -516,15 +518,16 @@ if [[ "$SKIP_SANITIZE" == 1 ]]; then
   exit 0
 fi
 
-echo "==> [11/12] ASan+UBSan build + resilience label"
+echo "==> [11/12] ASan+UBSan build + resilience label + EXS merge stress"
 cmake -B build-asan -S . -DBRISK_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j"$JOBS"
 ctest --test-dir build-asan --output-on-failure -L resilience
+ctest --test-dir build-asan --output-on-failure --no-tests=error -R 'ExsMergeStress'
 
 echo "==> [12/12] TSan build + ingest/ordering/metrics/trace/gateway/federation tests"
 cmake -B build-tsan -S . -DBRISK_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$JOBS"
 ctest --test-dir build-tsan --output-on-failure --no-tests=error -j"$JOBS" \
-  -R 'IsmServerTest|IsmIngestDeterminismTest|OrderingPipelineTest|Metrics|Trace|FlowControl|CreditGrant|Gateway|RelayFederation|RelayLinkLoss|FederatedSync|FlightRecorder|HealthRollup|RelayAggregation'
+  -R 'IsmServerTest|IsmIngestDeterminismTest|OrderingPipelineTest|Metrics|Trace|FlowControl|CreditGrant|Gateway|RelayFederation|RelayLinkLoss|FederatedSync|FlightRecorder|HealthRollup|RelayAggregation|ExsMergeStress'
 
 echo "==> CI green"

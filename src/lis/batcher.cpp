@@ -1,7 +1,6 @@
 #include "lis/batcher.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "sensors/record_codec.hpp"
 
@@ -24,8 +23,7 @@ Status Batcher::add_native_record(ByteSpan native, TimeMicros ts_delta) {
   // The builder validated the header, so the raw (uncorrected) node-clock
   // NOTICE stamp is readable. Clamping the first stamp bounds the whole
   // batch's minimum by the clock, so later records need no clock read.
-  TimeMicros noticed = 0;
-  std::memcpy(&noticed, native.data() + sensors::kNativeTimestampOffset, sizeof noticed);
+  const TimeMicros noticed = sensors::native_timestamp(native);
   oldest_notice_at_ = opens_batch ? std::min(noticed, clock_.now())
                                   : std::min(noticed, oldest_notice_at_);
   if (builder_.record_count() >= effective_max_records()) return flush();

@@ -86,6 +86,9 @@ struct ExsStats {
   std::uint64_t bytes_sent = 0;
   std::uint64_t ring_drops_seen = 0;      // cumulative drops reported by rings
   std::uint64_t transcode_errors = 0;
+  /// Drained records stamped below an earlier-drained record of this node
+  /// (a producer preempted between its clock read and its push).
+  std::uint64_t intra_node_inversions = 0;
   std::uint64_t sync_polls_answered = 0;
   std::uint64_t sync_adjustments = 0;
   TimeMicros correction_us = 0;           // current clock correction value

@@ -45,6 +45,7 @@ ExsCore::ExsCore(const ExsConfig& config, shm::MultiRing rings, clk::Clock& cloc
     out.counter("exs.bytes_sent", s.bytes_sent);
     out.counter("exs.ring_drops_seen", s.ring_drops_seen);
     out.counter("exs.transcode_errors", s.transcode_errors);
+    out.counter("exs.intra_node_inversions", s.intra_node_inversions);
     out.counter("exs.sync_polls_answered", s.sync_polls_answered);
     out.counter("exs.sync_adjustments", s.sync_adjustments);
     out.counter("exs.reconnects", s.reconnects);
@@ -63,35 +64,88 @@ ExsCore::ExsCore(const ExsConfig& config, shm::MultiRing rings, clk::Clock& cloc
   });
 }
 
-Result<std::size_t> ExsCore::drain_rings() {
-  std::size_t drained = 0;
+void ExsCore::attach_heads() {
   const std::uint32_t slots = rings_.claimed_slots();
-  // Round-robin across slots so one chatty producer cannot starve others.
-  bool progress = true;
-  while (progress && drained < config_.drain_burst) {
-    progress = false;
-    for (std::uint32_t i = 0; i < slots && drained < config_.drain_burst; ++i) {
-      auto ring = rings_.slot(i);
-      if (!ring) continue;
-      drain_scratch_.clear();
-      if (!ring.value().try_pop(drain_scratch_)) continue;
-      progress = true;
-      ++drained;
-      if (sensors::native_trace_present({drain_scratch_.data(), drain_scratch_.size()})) {
-        // Node-clock stamp; the transcode below shifts every trace stamp by
-        // the correction along with the record timestamp.
-        (void)sensors::stamp_native_trace(drain_scratch_, sensors::TraceStage::exs_drain,
-                                          clock_.now());
-      }
-      batcher_.set_ring_dropped_total(rings_.total_stats().dropped);
-      Status st = batcher_.add_native_record(
-          ByteSpan{drain_scratch_.data(), drain_scratch_.size()}, link_.correction());
-      if (!st) {
-        ++transcode_errors_;
-        BRISK_LOG_WARN << "EXS transcode failed: " << st.to_string();
-      } else {
-        ++records_forwarded_;
-      }
+  heads_.clear();
+  std::uint64_t ring_dropped = 0;
+  for (std::uint32_t i = 0; i < slots; ++i) {
+    auto ring = rings_.slot(i);
+    if (!ring) continue;
+    ring_dropped += ring.value().stats().dropped;
+    heads_.push_back(RingHead{ring.value()});
+  }
+  batcher_.set_ring_dropped_total(ring_dropped);
+}
+
+void ExsCore::peek_empty_heads() noexcept {
+  for (RingHead& head : heads_) {
+    if (head.ready) continue;
+    ByteSpan record;
+    if (!head.ring.peek(record)) continue;
+    head.ready = true;
+    // A short head cannot carry a stamp; ordering it first sends it to the
+    // transcode-error path at once instead of parking it behind the rest.
+    head.stamp = record.size() < sensors::kNativeHeaderBytes
+                     ? std::numeric_limits<TimeMicros>::min()
+                     : sensors::native_timestamp(record);
+  }
+}
+
+std::size_t ExsCore::oldest_head(TimeMicros now) const noexcept {
+  std::size_t oldest = heads_.size();
+  TimeMicros oldest_key = 0;
+  for (std::size_t i = 0; i < heads_.size(); ++i) {
+    if (!heads_[i].ready) continue;
+    // A head stamped ahead of the EXS clock orders as now, so a skewed
+    // producer cannot be starved by a chatty one. Strict < keeps the lower
+    // slot on a tie.
+    const TimeMicros key = std::min(heads_[i].stamp, now);
+    if (oldest == heads_.size() || key < oldest_key) {
+      oldest = i;
+      oldest_key = key;
+    }
+  }
+  return oldest;
+}
+
+Result<std::size_t> ExsCore::drain_rings() {
+  attach_heads();
+  std::size_t drained = 0;
+  TimeMicros now = clock_.now();
+  // Oldest-head-first k-way merge: only the ring just popped and the rings
+  // that were empty are peeked again; every other head is unchanged.
+  while (drained < config_.drain_burst) {
+    peek_empty_heads();
+    std::size_t pick = oldest_head(now);
+    if (pick == heads_.size()) break;
+    if (heads_[pick].stamp > now) {
+      // Ahead of the clock read at the start: re-read it before clamping.
+      now = clock_.now();
+      pick = oldest_head(now);
+    }
+    RingHead& head = heads_[pick];
+    head.ready = false;
+    drain_scratch_.clear();
+    if (!head.ring.try_pop(drain_scratch_)) continue;
+    ++drained;
+    const ByteSpan record{drain_scratch_.data(), drain_scratch_.size()};
+    if (record.size() >= sensors::kNativeHeaderBytes) {
+      if (head.stamp < high_water_) ++intra_node_inversions_;
+      high_water_ = std::max(high_water_, head.stamp);
+    }
+    if (sensors::native_trace_present(record)) {
+      // Node-clock stamp; the transcode below shifts every trace stamp by
+      // the correction along with the record timestamp.
+      (void)sensors::stamp_native_trace(drain_scratch_, sensors::TraceStage::exs_drain,
+                                        clock_.now());
+    }
+    Status st = batcher_.add_native_record(
+        ByteSpan{drain_scratch_.data(), drain_scratch_.size()}, link_.correction());
+    if (!st) {
+      ++transcode_errors_;
+      BRISK_LOG_WARN << "EXS transcode failed: " << st.to_string();
+    } else {
+      ++records_forwarded_;
     }
   }
   return drained;
@@ -145,6 +199,7 @@ ExsStats ExsCore::stats() const noexcept {
   s.bytes_sent = batcher_.bytes_sent();
   s.ring_drops_seen = const_cast<shm::MultiRing&>(rings_).total_stats().dropped;
   s.transcode_errors = transcode_errors_;
+  s.intra_node_inversions = intra_node_inversions_;
   s.sync_polls_answered = up.sync_polls_answered;
   s.sync_adjustments = up.sync_adjustments;
   s.correction_us = link_.correction();

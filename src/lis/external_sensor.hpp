@@ -21,6 +21,7 @@
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -48,7 +49,10 @@ class ExsCore {
   ExsCore(const ExsConfig& config, shm::MultiRing rings, clk::Clock& clock, FrameSink sink);
 
   /// Drains up to config.drain_burst records across all claimed rings into
-  /// the batcher. Returns the number of records drained.
+  /// the batcher, oldest head first: the ring whose next record carries the
+  /// lowest NOTICE stamp goes next (a stamp ahead of the EXS clock orders
+  /// as now, a head too short to carry one orders first, and a tie goes to
+  /// the lower slot). Returns the number of records drained.
   Result<std::size_t> drain_rings();
 
   /// Age-based flush; call once per loop cycle.
@@ -111,6 +115,21 @@ class ExsCore {
  private:
   static tp::LinkConfig make_link_config(const ExsConfig& config);
 
+  /// One claimed ring as the drain merge sees it.
+  struct RingHead {
+    shm::RingBuffer ring;
+    TimeMicros stamp = 0;  // head record's raw NOTICE stamp (valid if ready)
+    bool ready = false;    // head peeked and present
+  };
+
+  /// Attaches every claimed ring into heads_ (nothing peeked yet) and hands
+  /// the rings' drop total to the batcher.
+  void attach_heads();
+  /// Peeks the rings whose head is not cached.
+  void peek_empty_heads() noexcept;
+  /// Index of the ready head with the lowest order key, or heads_.size().
+  [[nodiscard]] std::size_t oldest_head(TimeMicros now) const noexcept;
+
   ExsConfig config_;
   shm::MultiRing rings_;
   clk::Clock& clock_;
@@ -123,6 +142,11 @@ class ExsCore {
   metrics::FlightRecorder flight_;
   std::uint64_t flight_cursor_ = 0;
   std::vector<std::uint8_t> drain_scratch_;
+  std::vector<RingHead> heads_;
+  /// Highest NOTICE stamp drained so far; a drained record stamped below it
+  /// is an intra-node inversion.
+  TimeMicros high_water_ = std::numeric_limits<TimeMicros>::min();
+  std::uint64_t intra_node_inversions_ = 0;
 };
 
 class ExternalSensor {

@@ -111,6 +111,14 @@ Result<Record> decode_native(ByteSpan bytes, NodeId node = 0);
 /// fully decoding the record.
 Status patch_native_timestamps(MutableByteSpan bytes, TimeMicros delta) noexcept;
 
+/// The header's raw NOTICE timestamp. `bytes` must hold at least
+/// kNativeHeaderBytes.
+[[nodiscard]] inline TimeMicros native_timestamp(ByteSpan bytes) noexcept {
+  TimeMicros ts = 0;
+  std::memcpy(&ts, bytes.data() + kNativeTimestampOffset, sizeof ts);
+  return ts;
+}
+
 /// True if the native record carries a trace annotation tail (flags bit).
 [[nodiscard]] bool native_trace_present(ByteSpan bytes) noexcept;
 

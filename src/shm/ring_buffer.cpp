@@ -86,55 +86,43 @@ bool RingBuffer::try_push(ByteSpan record) noexcept {
   return true;
 }
 
-bool RingBuffer::try_pop(std::vector<std::uint8_t>& out) {
+bool RingBuffer::next_record(std::uint64_t& tail, std::uint32_t& len) const noexcept {
   const std::uint64_t capacity = header_->capacity;
-  std::uint64_t tail = header_->tail.load(std::memory_order_relaxed);
-
   for (;;) {
     const std::uint64_t head = header_->head.load(std::memory_order_acquire);
-    if (tail == head) {
-      header_->tail.store(tail, std::memory_order_release);
-      return false;
-    }
-    const std::uint64_t pos = tail % capacity;
-    const std::uint64_t to_end = capacity - pos;
+    if (tail == head) return false;
+    const std::uint64_t to_end = capacity - tail % capacity;
     if (to_end < kLengthBytes) {
       tail += to_end;  // producer skipped a segment too short for a mark
       continue;
     }
-    const std::uint32_t len = read_length(tail);
-    if (len == kWrapMark) {
-      tail += to_end;
-      continue;
-    }
-    const std::size_t old_size = out.size();
-    out.resize(old_size + len);
-    if (len != 0) read_bytes(tail + kLengthBytes, out.data() + old_size, len);
-    header_->popped.fetch_add(1, std::memory_order_relaxed);
-    header_->tail.store(tail + kLengthBytes + len, std::memory_order_release);
-    return true;
+    len = read_length(tail);
+    if (len != kWrapMark) return true;
+    tail += to_end;
   }
 }
 
-std::size_t RingBuffer::next_record_size() const noexcept {
-  const std::uint64_t capacity = header_->capacity;
+bool RingBuffer::try_pop(std::vector<std::uint8_t>& out) {
   std::uint64_t tail = header_->tail.load(std::memory_order_relaxed);
-  for (;;) {
-    const std::uint64_t head = header_->head.load(std::memory_order_acquire);
-    if (tail == head) return 0;
-    const std::uint64_t pos = tail % capacity;
-    const std::uint64_t to_end = capacity - pos;
-    if (to_end < kLengthBytes) {
-      tail += to_end;
-      continue;
-    }
-    const std::uint32_t len = read_length(tail);
-    if (len == kWrapMark) {
-      tail += to_end;
-      continue;
-    }
-    return len;
+  std::uint32_t len = 0;
+  if (!next_record(tail, len)) {
+    header_->tail.store(tail, std::memory_order_release);
+    return false;
   }
+  const std::size_t old_size = out.size();
+  out.resize(old_size + len);
+  if (len != 0) read_bytes(tail + kLengthBytes, out.data() + old_size, len);
+  header_->popped.fetch_add(1, std::memory_order_relaxed);
+  header_->tail.store(tail + kLengthBytes + len, std::memory_order_release);
+  return true;
+}
+
+bool RingBuffer::peek(ByteSpan& out) const noexcept {
+  std::uint64_t tail = header_->tail.load(std::memory_order_relaxed);
+  std::uint32_t len = 0;
+  if (!next_record(tail, len)) return false;
+  out = ByteSpan{data_ + tail % header_->capacity + kLengthBytes, len};
+  return true;
 }
 
 bool RingBuffer::empty() const noexcept {

@@ -70,8 +70,11 @@ class RingBuffer {
   /// or returns false when the ring is empty.
   bool try_pop(std::vector<std::uint8_t>& out);
 
-  /// Consumer-side peek at the next record length (0 if empty).
-  [[nodiscard]] std::size_t next_record_size() const noexcept;
+  /// Consumer side, zero-copy: points `out` at the next record's payload
+  /// in place and returns true, or returns false when the ring is empty.
+  /// A record never straddles the end of the data area, so the view is
+  /// contiguous; it stays valid until the next try_pop.
+  bool peek(ByteSpan& out) const noexcept;
 
   [[nodiscard]] bool empty() const noexcept;
   [[nodiscard]] std::size_t capacity() const noexcept { return header_->capacity; }
@@ -87,6 +90,9 @@ class RingBuffer {
   void write_bytes(std::uint64_t offset, ByteSpan bytes) noexcept;
   void read_bytes(std::uint64_t offset, void* out, std::size_t len) const noexcept;
   [[nodiscard]] std::uint32_t read_length(std::uint64_t offset) const noexcept;
+  /// Advances `tail` past wrap padding to the next record's length prefix
+  /// and sets `len` to its payload length; false when the ring is empty.
+  bool next_record(std::uint64_t& tail, std::uint32_t& len) const noexcept;
 
   Header* header_ = nullptr;
   std::uint8_t* data_ = nullptr;

@@ -3,7 +3,11 @@
 // sync slave protocol, hello/bye).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
+#include <limits>
+#include <thread>
 
 #include "clock/clock.hpp"
 #include "lis/batcher.hpp"
@@ -424,16 +428,52 @@ TEST_F(ExsCoreTest, StatsCountForwardedRecords) {
   EXPECT_GT(core_->stats().bytes_sent, 0u);
 }
 
-TEST_F(ExsCoreTest, RoundRobinAcrossChattySlots) {
-  // One slot with many records, one with few: the few must not starve.
-  auto ring_a = rings_.claim_slot();
-  auto ring_b = rings_.claim_slot();
-  ASSERT_TRUE(ring_a.is_ok());
-  ASSERT_TRUE(ring_b.is_ok());
-  sensors::Sensor chatty(ring_a.value(), clock_);
-  sensors::Sensor quiet(ring_b.value(), clock_);
-  for (int i = 0; i < 50; ++i) ASSERT_TRUE(chatty.notice(1, sensors::x_i32(i)));
+// ---- oldest-head-first drain ------------------------------------------------------
+
+TEST_F(ExsCoreTest, InterleavedStampsDrainInTimestampOrder) {
+  constexpr int kSlots = 3;
+  constexpr int kRecords = 60;
+  std::vector<std::unique_ptr<sensors::Sensor>> sensors;
+  for (int i = 0; i < kSlots; ++i) {
+    auto ring = rings_.claim_slot();
+    ASSERT_TRUE(ring.is_ok());
+    sensors.push_back(std::make_unique<sensors::Sensor>(ring.value(), clock_));
+  }
+  // Irregular runs per slot, so neither slot order nor rotation is sorted.
+  std::uint32_t lcg = 7;
+  for (int i = 0; i < kRecords; ++i) {
+    lcg = lcg * 1103515245u + 12345u;
+    const int slot = static_cast<int>((lcg >> 16) % kSlots);
+    clock_.advance(1);
+    ASSERT_TRUE(sensors[slot]->notice(static_cast<SensorId>(10 + slot), sensors::x_i32(i)));
+  }
+  auto drained = core_->drain_rings();
+  ASSERT_TRUE(drained.is_ok());
+  EXPECT_EQ(drained.value(), static_cast<std::size_t>(kRecords));
+  ASSERT_TRUE(core_->flush());
+  std::vector<Record> out;
+  for (tp::Batch& batch : sent_batches()) {
+    for (Record& r : batch.records) out.push_back(std::move(r));
+  }
+  ASSERT_EQ(out.size(), static_cast<std::size_t>(kRecords));
+  for (int i = 0; i < kRecords; ++i) {
+    EXPECT_EQ(out[i].fields[0].as_signed(), i) << "record " << i << " out of NOTICE order";
+  }
+  EXPECT_EQ(core_->stats().intra_node_inversions, 0u);
+}
+
+TEST_F(ExsCoreTest, BurstReachesAnOlderRecordInAQuietSlot) {
+  auto chatty_ring = rings_.claim_slot();
+  auto quiet_ring = rings_.claim_slot();
+  ASSERT_TRUE(chatty_ring.is_ok());
+  ASSERT_TRUE(quiet_ring.is_ok());
+  sensors::Sensor chatty(chatty_ring.value(), clock_);
+  sensors::Sensor quiet(quiet_ring.value(), clock_);
   ASSERT_TRUE(quiet.notice(2, sensors::x_i32(0)));
+  for (int i = 0; i < 50; ++i) {
+    clock_.advance(1);
+    ASSERT_TRUE(chatty.notice(1, sensors::x_i32(i)));
+  }
 
   config_.drain_burst = 10;
   core_ = std::make_unique<ExsCore>(config_, rings_, clock_, [this](ByteBuffer payload) {
@@ -444,11 +484,232 @@ TEST_F(ExsCoreTest, RoundRobinAcrossChattySlots) {
   ASSERT_TRUE(core_->flush());
   auto batches = sent_batches();
   ASSERT_EQ(batches.size(), 1u);
-  bool saw_quiet = false;
-  for (const Record& r : batches[0].records) {
-    if (r.sensor == 2) saw_quiet = true;
+  ASSERT_EQ(batches[0].records.size(), 10u);
+  EXPECT_EQ(batches[0].records[0].sensor, 2u) << "the quiet slot's record is the oldest";
+}
+
+TEST_F(ExsCoreTest, FutureStampedHeadDrainsUnderAChattySlot) {
+  // A producer whose clock runs 10 s ahead (slot 0) next to a chatty one
+  // that refills its ring between bursts: the skewed head orders as the EXS
+  // clock's now, so it goes out in the first burst instead of waiting 10 s.
+  auto skewed_ring = rings_.claim_slot();
+  auto chatty_ring = rings_.claim_slot();
+  ASSERT_TRUE(skewed_ring.is_ok());
+  ASSERT_TRUE(chatty_ring.is_ok());
+  clk::ManualClock skewed_clock(clock_.now() + 10'000'000);
+  sensors::Sensor skewed(skewed_ring.value(), skewed_clock);
+  sensors::Sensor chatty(chatty_ring.value(), clock_);
+  ASSERT_TRUE(skewed.notice(2, sensors::x_i32(0)));
+
+  config_.drain_burst = 10;
+  core_ = std::make_unique<ExsCore>(config_, rings_, clock_, [this](ByteBuffer payload) {
+    frames_.push_back(std::move(payload));
+    return Status::ok();
+  });
+  std::size_t skewed_round = 0;
+  for (std::size_t round = 1; round <= 5 && skewed_round == 0; ++round) {
+    for (int i = 0; i < 10; ++i) {
+      clock_.advance(1);
+      ASSERT_TRUE(chatty.notice(1, sensors::x_i32(i)));
+    }
+    frames_.clear();
+    ASSERT_TRUE(core_->drain_rings().is_ok());
+    ASSERT_TRUE(core_->flush());
+    for (const tp::Batch& batch : sent_batches()) {
+      for (const Record& r : batch.records) {
+        if (r.sensor == 2) skewed_round = round;
+      }
+    }
   }
-  EXPECT_TRUE(saw_quiet) << "round-robin must reach the quiet slot within one burst";
+  EXPECT_EQ(skewed_round, 1u) << "the future-stamped head must not wait for the chatty slot";
+}
+
+TEST_F(ExsCoreTest, ShortHeadDrainsFirstAsTranscodeError) {
+  auto good_ring = rings_.claim_slot();
+  auto bad_ring = rings_.claim_slot();
+  ASSERT_TRUE(good_ring.is_ok());
+  ASSERT_TRUE(bad_ring.is_ok());
+  sensors::Sensor good(good_ring.value(), clock_);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(good.notice(1, sensors::x_i32(i)));
+  clock_.advance(1'000);
+  // Shorter than a native header: it carries no stamp to order by.
+  const std::uint8_t garbage[5] = {1, 2, 3, 4, 5};
+  ASSERT_TRUE(bad_ring.value().try_push(ByteSpan{garbage, sizeof garbage}));
+
+  config_.drain_burst = 1;
+  core_ = std::make_unique<ExsCore>(config_, rings_, clock_, [this](ByteBuffer payload) {
+    frames_.push_back(std::move(payload));
+    return Status::ok();
+  });
+  auto drained = core_->drain_rings();
+  ASSERT_TRUE(drained.is_ok());
+  EXPECT_EQ(drained.value(), 1u);
+  EXPECT_EQ(core_->stats().transcode_errors, 1u) << "the short head goes first";
+  EXPECT_EQ(core_->stats().records_forwarded, 0u);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(core_->drain_rings().is_ok());
+  EXPECT_EQ(core_->stats().records_forwarded, 3u);
+  EXPECT_EQ(core_->stats().transcode_errors, 1u);
+}
+
+TEST_F(ExsCoreTest, EqualStampsBreakTiesBySlotIndex) {
+  std::vector<std::unique_ptr<sensors::Sensor>> sensors;
+  for (int i = 0; i < 3; ++i) {
+    auto ring = rings_.claim_slot();
+    ASSERT_TRUE(ring.is_ok());
+    sensors.push_back(std::make_unique<sensors::Sensor>(ring.value(), clock_));
+  }
+  // Noticed last slot first, all at one stamp.
+  for (int slot = 2; slot >= 0; --slot) {
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(sensors[slot]->notice(static_cast<SensorId>(10 + slot), sensors::x_i32(i)));
+    }
+  }
+  ASSERT_TRUE(core_->drain_rings().is_ok());
+  ASSERT_TRUE(core_->flush());
+  auto batches = sent_batches();
+  ASSERT_EQ(batches.size(), 1u);
+  std::vector<SensorId> order;
+  for (const Record& r : batches[0].records) order.push_back(r.sensor);
+  EXPECT_EQ(order, (std::vector<SensorId>{10, 10, 11, 11, 12, 12}));
+}
+
+TEST_F(ExsCoreTest, LateRecordCountsAsIntraNodeInversion) {
+  // A producer that read its clock before another producer's record was
+  // drained pushes a stamp below what the EXS already sent.
+  auto ring_a = rings_.claim_slot();
+  auto ring_b = rings_.claim_slot();
+  ASSERT_TRUE(ring_a.is_ok());
+  ASSERT_TRUE(ring_b.is_ok());
+  sensors::Sensor a(ring_a.value(), clock_);
+  clk::ManualClock late_clock(clock_.now());
+  sensors::Sensor b(ring_b.value(), late_clock);
+  clock_.advance(5);
+  ASSERT_TRUE(a.notice(1, sensors::x_i32(0)));
+  ASSERT_TRUE(core_->drain_rings().is_ok());
+  late_clock.advance(3);
+  ASSERT_TRUE(b.notice(2, sensors::x_i32(0)));  // 2 us behind
+  late_clock.advance(1);
+  ASSERT_TRUE(b.notice(2, sensors::x_i32(1)));  // still behind
+  late_clock.advance(2);
+  ASSERT_TRUE(b.notice(2, sensors::x_i32(2)));  // 1 us ahead
+  ASSERT_TRUE(core_->drain_rings().is_ok());
+  EXPECT_EQ(core_->stats().intra_node_inversions, 2u);
+  std::uint64_t exported = 0;
+  for (const metrics::Sample& sample : core_->metrics().snapshot()) {
+    if (sample.name == "exs.intra_node_inversions") exported = sample.value;
+  }
+  EXPECT_EQ(exported, 2u);
+}
+
+/// Producer 0's clock. Every 256 reads, when its own ring has room for the
+/// push that follows, it stalls between the clock read and the push, as a
+/// preempted producer would, until the EXS has drained a record that
+/// producer 1 stamped after that read. The push then lands behind.
+class PreemptedClock final : public clk::Clock {
+ public:
+  PreemptedClock(shm::RingBuffer own, shm::RingBuffer other) : own_(own), other_(other) {}
+
+  TimeMicros now() noexcept override {
+    clk::Clock& wall = clk::SystemClock::instance();
+    const TimeMicros t = wall.now();
+    if (reads_++ < next_stall_ || own_.bytes_used() > own_.capacity() / 2) return t;
+    next_stall_ = reads_ + 256;
+    while (wall.now() <= t) {
+    }
+    // The other producer's next record may have read its clock before t;
+    // the one after it read its clock after this point.
+    const std::uint64_t newer = other_.stats().pushed + 2;
+    while (other_.stats().popped < newer) std::this_thread::yield();
+    ++stalls_;
+    return t;
+  }
+
+  [[nodiscard]] std::uint64_t stalls() const noexcept { return stalls_; }
+
+ private:
+  shm::RingBuffer own_;
+  shm::RingBuffer other_;
+  std::uint64_t reads_ = 0;
+  std::uint64_t next_stall_ = 0;
+  std::uint64_t stalls_ = 0;
+};
+
+TEST(ExsMergeStressTest, TwoProducersDrainOnceInRingOrderWithCountedInversions) {
+  constexpr std::int32_t kPreempted = 20'000;
+  std::vector<std::uint8_t> memory(shm::MultiRing::region_size(2, 64 * 1024));
+  auto rings = shm::MultiRing::init(memory.data(), 2, 64 * 1024);
+  ASSERT_TRUE(rings.is_ok());
+  std::vector<shm::RingBuffer> producer_rings;
+  for (int i = 0; i < 2; ++i) {
+    auto ring = rings.value().claim_slot();
+    ASSERT_TRUE(ring.is_ok());
+    producer_rings.push_back(ring.value());
+  }
+  ExsConfig config;
+  config.node = 9;
+  config.batch_max_age_us = 0;
+  std::vector<ByteBuffer> frames;
+  ExsCore core(config, rings.value(), clk::SystemClock::instance(), [&](ByteBuffer payload) {
+    frames.push_back(std::move(payload));
+    return Status::ok();
+  });
+
+  PreemptedClock preempted_clock(producer_rings[0], producer_rings[1]);
+  std::atomic<bool> preempted_done{false};
+  std::atomic<int> running{2};
+  std::int32_t steady_count = 0;
+  // Retry a full ring: every record must arrive exactly once.
+  std::thread preempted([&] {
+    sensors::Sensor sensor(producer_rings[0], preempted_clock);
+    for (std::int32_t i = 0; i < kPreempted; ++i) {
+      while (!sensor.notice(1, sensors::x_i32(i))) std::this_thread::yield();
+    }
+    preempted_done.store(true, std::memory_order_release);
+    running.fetch_sub(1, std::memory_order_release);
+  });
+  // Keeps pushing until the preempted producer is done, so its stalls end.
+  std::thread steady([&] {
+    sensors::Sensor sensor(producer_rings[1], clk::SystemClock::instance());
+    while (!preempted_done.load(std::memory_order_acquire)) {
+      while (!sensor.notice(2, sensors::x_i32(steady_count))) std::this_thread::yield();
+      ++steady_count;
+    }
+    running.fetch_sub(1, std::memory_order_release);
+  });
+  while (running.load(std::memory_order_acquire) > 0) {
+    ASSERT_TRUE(core.drain_rings().is_ok());
+    ASSERT_TRUE(core.maybe_flush());
+  }
+  preempted.join();
+  steady.join();
+  for (;;) {
+    auto drained = core.drain_rings();
+    ASSERT_TRUE(drained.is_ok());
+    if (drained.value() == 0) break;
+  }
+  ASSERT_TRUE(core.flush());
+
+  std::int32_t next[2] = {0, 0};
+  std::uint64_t observed = 0;
+  TimeMicros high_water = std::numeric_limits<TimeMicros>::min();
+  for (const ByteBuffer& frame : frames) {
+    const tp::Batch batch = parse_batch(frame);
+    for (const Record& r : batch.records) {
+      ASSERT_TRUE(r.sensor == 1 || r.sensor == 2);
+      const int p = static_cast<int>(r.sensor) - 1;
+      ASSERT_EQ(r.fields[0].as_signed(), next[p]) << "ring " << p << " lost FIFO or a record";
+      ++next[p];
+      if (r.timestamp < high_water) ++observed;
+      high_water = std::max(high_water, r.timestamp);
+    }
+  }
+  EXPECT_EQ(next[0], kPreempted);
+  EXPECT_EQ(next[1], steady_count);
+  EXPECT_EQ(core.stats().records_forwarded,
+            static_cast<std::uint64_t>(kPreempted) + static_cast<std::uint64_t>(steady_count));
+  EXPECT_EQ(core.stats().intra_node_inversions, observed);
+  ASSERT_GT(preempted_clock.stalls(), 0u);
+  EXPECT_GE(observed, preempted_clock.stalls()) << "every stalled push lands behind";
 }
 
 // ---- ReplayBuffer --------------------------------------------------------------------

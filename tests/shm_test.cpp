@@ -184,15 +184,63 @@ TEST_F(RingBufferTest, WrapAroundManyTimes) {
   EXPECT_EQ(next_pop, next_push);
 }
 
-TEST_F(RingBufferTest, NextRecordSizePeeks) {
+TEST_F(RingBufferTest, PeekViewsHeadWithoutPopping) {
   make_ring(512);
-  EXPECT_EQ(ring_.next_record_size(), 0u);
+  ByteSpan view;
+  EXPECT_FALSE(ring_.peek(view));
   auto record = make_record(33, 9);
   ASSERT_TRUE(ring_.try_push(span_of(record)));
-  EXPECT_EQ(ring_.next_record_size(), 33u);
+  ASSERT_TRUE(ring_.peek(view));
+  EXPECT_EQ(std::vector<std::uint8_t>(view.begin(), view.end()), record);
+  // Zero-copy: the view points into the data area, right after the prefix.
+  EXPECT_EQ(view.data(), memory_.data() + sizeof(RingBuffer::Header) + RingBuffer::kLengthBytes);
+  EXPECT_EQ(ring_.bytes_used(), RingBuffer::kLengthBytes + record.size()) << "peek keeps the tail";
   std::vector<std::uint8_t> out;
   ASSERT_TRUE(ring_.try_pop(out));
-  EXPECT_EQ(ring_.next_record_size(), 0u);
+  EXPECT_EQ(out, record);
+  EXPECT_FALSE(ring_.peek(view));
+}
+
+TEST_F(RingBufferTest, PeekSkipsWrapMark) {
+  // Two 44-byte records leave 40 bytes before the end: the next 44-byte
+  // record is preceded by a wrap mark and lands at the data area's start.
+  make_ring(128);
+  auto filler = make_record(40, 1);
+  std::vector<std::uint8_t> out;
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(ring_.try_push(span_of(filler)));
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(ring_.try_pop(out));
+  auto record = make_record(40, 7);
+  ASSERT_TRUE(ring_.try_push(span_of(record)));
+  ByteSpan view;
+  ASSERT_TRUE(ring_.peek(view));
+  EXPECT_EQ(view.data(), memory_.data() + sizeof(RingBuffer::Header) + RingBuffer::kLengthBytes);
+  EXPECT_EQ(std::vector<std::uint8_t>(view.begin(), view.end()), record);
+  out.clear();
+  ASSERT_TRUE(ring_.try_pop(out));
+  EXPECT_EQ(out, record);
+}
+
+TEST_F(RingBufferTest, PeekSkipsTailTooShortForMark) {
+  // 64 + 62 bytes leave a 2-byte tail segment, too short for a wrap mark:
+  // the producer pads it out unmarked and the reader must skip it too.
+  make_ring(128);
+  auto first = make_record(60, 1);
+  auto second = make_record(58, 2);
+  std::vector<std::uint8_t> out;
+  ASSERT_TRUE(ring_.try_push(span_of(first)));
+  ASSERT_TRUE(ring_.try_push(span_of(second)));
+  ASSERT_TRUE(ring_.try_pop(out));
+  ASSERT_TRUE(ring_.try_pop(out));
+  auto record = make_record(10, 3);
+  ASSERT_TRUE(ring_.try_push(span_of(record)));
+  ByteSpan view;
+  ASSERT_TRUE(ring_.peek(view));
+  EXPECT_EQ(view.data(), memory_.data() + sizeof(RingBuffer::Header) + RingBuffer::kLengthBytes);
+  EXPECT_EQ(std::vector<std::uint8_t>(view.begin(), view.end()), record);
+  out.clear();
+  ASSERT_TRUE(ring_.try_pop(out));
+  EXPECT_EQ(out, record);
+  EXPECT_TRUE(ring_.empty());
 }
 
 TEST_F(RingBufferTest, StatsAccumulate) {
