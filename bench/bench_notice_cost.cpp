@@ -26,7 +26,7 @@ using namespace brisk::sensors;  // NOLINT
 
 /// Fixture: a big ring + a sensor + a drain step so the ring never fills.
 struct Rig {
-  std::vector<std::uint8_t> memory;
+  shm::RingMemory memory;
   shm::RingBuffer ring;
   Sensor sensor;
 
@@ -35,7 +35,7 @@ struct Rig {
         ring(init_ring(memory)),
         sensor(ring, clk::SystemClock::instance()) {}
 
-  static shm::RingBuffer init_ring(std::vector<std::uint8_t>& memory) {
+  static shm::RingBuffer init_ring(shm::RingMemory& memory) {
     auto ring = shm::RingBuffer::init(memory.data(), 1u << 22);
     if (!ring) std::abort();
     return ring.value();
@@ -151,7 +151,7 @@ BENCHMARK(BM_Transcode_6xI32);
 
 // Raw ring push+pop round trip (the memory path NOTICE rides on).
 void BM_RingPushPop40B(benchmark::State& state) {
-  std::vector<std::uint8_t> memory(shm::RingBuffer::region_size(1u << 20));
+  shm::RingMemory memory(shm::RingBuffer::region_size(1u << 20));
   auto ring = shm::RingBuffer::init(memory.data(), 1u << 20);
   if (!ring) std::abort();
   std::array<std::uint8_t, 40> payload{};

@@ -17,7 +17,7 @@ NoticeCalibration calibrate_notice_cost(std::uint64_t iterations) {
 
   // Accepted path: a ring large enough to never fill within one drain.
   {
-    std::vector<std::uint8_t> memory(shm::RingBuffer::region_size(4u << 20));
+    shm::RingMemory memory(shm::RingBuffer::region_size(4u << 20));
     auto ring = shm::RingBuffer::init(memory.data(), 4u << 20);
     if (!ring) return calibration;
     sensors::Sensor sensor(ring.value(), clk::SystemClock::instance());
@@ -41,7 +41,7 @@ NoticeCalibration calibrate_notice_cost(std::uint64_t iterations) {
 
   // Dropped path: a minimal ring that is permanently full.
   {
-    std::vector<std::uint8_t> memory(shm::RingBuffer::region_size(128));
+    shm::RingMemory memory(shm::RingBuffer::region_size(128));
     auto ring = shm::RingBuffer::init(memory.data(), 128);
     if (!ring) return calibration;
     sensors::Sensor sensor(ring.value(), clk::SystemClock::instance());

@@ -14,9 +14,21 @@
 // the latest late event's lateness is a good strategy"), and the decrease
 // is exponential with a configurable half-life ("a small exponent constant
 // for reducing T (i.e., a large T's half-life) helps").
+//
+// T is the bound for nodes that may send out of order. A node that promises
+// timestamp order (an *open source*) bounds its own future records by the
+// highest timestamp it has pushed, so once every open source has passed t
+// nothing older than t can still arrive from them. service() therefore also
+// releases records at or below the *source floor*, the minimum of those
+// high-water marks over the open sources; T then bounds the wait only while
+// a source lags or stays silent. (A source may still send more records
+// stamped exactly at its high-water mark; they leave after the released
+// ones as equal timestamps, not as late records.) With no source open the
+// rule is the paper's alone.
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 
@@ -63,6 +75,9 @@ struct SorterStats {
   /// the sorter out of order. This is the reordering-loss rate an adaptive
   /// buffer-sizing policy trades against latency.
   std::uint64_t late_drops = 0;
+  /// Records service() released because the source floor had passed them
+  /// before their delay window T expired.
+  std::uint64_t floor_releases = 0;
 };
 
 class OnlineSorter {
@@ -72,14 +87,22 @@ class OnlineSorter {
   /// bind). In the sharded pipeline this is the shard's lane-push hook.
   using EmitFn = std::function<void(sensors::Record)>;
 
+  /// source_floor() while no source is open or an open source has pushed
+  /// nothing yet: the floor releases nothing.
+  static constexpr TimeMicros kNoFloor = std::numeric_limits<TimeMicros>::min();
+
   OnlineSorter(const SorterConfig& config, clk::Clock& clock, EmitFn emit);
 
   /// Queues a record (auto-registers the node's queue on first sight).
   Status push(sensors::Record record);
 
-  /// Releases every record whose delay window has expired and applies the
-  /// exponential decrease of T. Call once per ISM loop cycle.
-  void service();
+  /// Releases every record whose delay window has expired or that lies at
+  /// or below the source floor, and applies the exponential decrease of T.
+  /// Call once per ISM loop cycle.
+  void service() { service(source_floor()); }
+  /// As service(), with `floor` in place of this sorter's own source floor:
+  /// a sharded pipeline passes the floor over every shard's sources.
+  void service(TimeMicros floor);
 
   /// Emits everything still pending, in heap order (shutdown path).
   void flush_all();
@@ -87,9 +110,20 @@ class OnlineSorter {
   /// Removes a node's queue from the merge (session expiry after an EXS
   /// died). Pending records are drained out of band — emitted in queue
   /// order without touching the ordering state, so a dead node's leftovers
-  /// cannot raise T or poison the order check for live nodes. Returns the
-  /// number of records drained.
+  /// cannot raise T or poison the order check for live nodes. An open
+  /// source is forgotten. Returns the number of records drained.
   std::size_t remove_node(NodeId node);
+
+  /// `node` promises to push its records in timestamp order from now on.
+  /// (Re)opening starts its high-water mark over, so the source holds the
+  /// floor until its next push.
+  void open_source(NodeId node);
+  /// `node` stops gating the floor (its stream ended cleanly).
+  void close_source(NodeId node);
+  /// Minimum over open sources of the highest timestamp each has pushed;
+  /// kNoFloor while none is open or one has pushed nothing.
+  [[nodiscard]] TimeMicros source_floor() const noexcept;
+  [[nodiscard]] bool has_sources() const noexcept { return !sources_.empty(); }
 
   [[nodiscard]] TimeMicros current_frame() const noexcept { return frame_us_; }
   [[nodiscard]] std::size_t pending() const noexcept { return heap_.pending(); }
@@ -114,6 +148,8 @@ class OnlineSorter {
   clk::Clock& clock_;
   EmitFn emit_;
   std::map<NodeId, std::unique_ptr<EventQueue>> queues_;
+  /// Open sources and the highest timestamp each pushed (kNoFloor: none).
+  std::map<NodeId, TimeMicros> sources_;
   MergeHeap heap_;
   double frame_us_;  // T; double so the exponential decay is smooth
   TimeMicros last_emitted_ts_ = 0;

@@ -1,5 +1,6 @@
 #include "ism/pipeline.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/logging.hpp"
@@ -15,6 +16,15 @@ namespace {
 bool key_less(const sensors::Record& a, const sensors::Record& b) noexcept {
   if (a.timestamp != b.timestamp) return a.timestamp < b.timestamp;
   return a.node < b.node;
+}
+
+/// A shard's floor cell while it has no open source: it does not gate.
+constexpr TimeMicros kNoSources = std::numeric_limits<TimeMicros>::max();
+
+/// What a shard promises after servicing at `now` under `floor`: every
+/// record at or below max(now − T, floor) has left.
+TimeMicros shard_watermark(const OnlineSorter& sorter, TimeMicros now, TimeMicros floor) {
+  return std::max(now - sorter.current_frame(), floor);
 }
 
 }  // namespace
@@ -39,6 +49,9 @@ struct OrderingPipeline::Shard {
   std::atomic<TimeMicros> watermark{std::numeric_limits<TimeMicros>::min()};
   /// drain() flushed this shard: its stream is complete, stop gating on it.
   std::atomic<bool> flushed{false};
+  /// The sorter's source floor as of its last feed, or kNoSources. The
+  /// pipeline's floor is the minimum over every shard's cell.
+  std::atomic<TimeMicros> source_floor{kNoSources};
 
   // Guarded by state_mutex: the sorter plus the emit-routing flags. Owned
   // by the shard thread while the pipeline is threaded, by the ordering
@@ -61,7 +74,9 @@ struct OrderingPipeline::Shard {
   std::deque<ShardOutput> inline_lane;
 
   std::mutex cmd_mutex;
-  std::vector<NodeId> removals;  // session-expiry commands, ordering → shard
+  std::vector<ShardCommand> commands;  // ordering → shard, in issue order
+  std::uint64_t submitted = 0;  // ordering thread: records pushed into input
+  std::uint64_t fed = 0;        // state_mutex: records fed from input to sorter
 
   bool pending_signal = false;  // shard thread only: merger wakeup owed
 
@@ -159,6 +174,7 @@ Status OrderingPipeline::submit(sensors::Record record) {
       std::this_thread::yield();
     }
     if (!stop_.load(std::memory_order_relaxed)) {
+      ++shard.submitted;
       signal_shard(shard);
       return Status::ok();
     }
@@ -175,19 +191,17 @@ void OrderingPipeline::service() {
   const bool federated = !relay_lanes_.empty();
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lk(shard->state_mutex);
-    sensors::Record record;
-    while (shard->input.try_pop(record)) {
-      Status st = shard->sorter->push(std::move(record));
-      if (!st) {
-        BRISK_LOG_WARN << "sorter push failed: " << st.to_string();
-      }
-    }
-    shard->sorter->service();
+    feed_sorter(*shard);
+  }
+  const TimeMicros floor = pipeline_floor();
+  for (auto& shard : shards_) {
+    std::lock_guard<std::mutex> lk(shard->state_mutex);
+    shard->sorter->service(floor);
     if (federated) {
       // Inline shards normally never publish a watermark (emissions deliver
       // directly); once relay lanes gate the merge they must make the same
       // promise the threaded shard_cycle makes.
-      const TimeMicros wm = clock_.now() - shard->sorter->current_frame();
+      const TimeMicros wm = shard_watermark(*shard->sorter, clock_.now(), floor);
       if (wm > shard->watermark.load(std::memory_order_relaxed)) {
         shard->watermark.store(wm, std::memory_order_release);
       }
@@ -199,20 +213,83 @@ void OrderingPipeline::service() {
 }
 
 std::size_t OrderingPipeline::remove_node(NodeId node) {
+  return command(ShardCommand::Kind::remove_node, node);
+}
+
+void OrderingPipeline::open_source(NodeId node) {
+  (void)command(ShardCommand::Kind::open_source, node);
+}
+
+void OrderingPipeline::close_source(NodeId node) {
+  (void)command(ShardCommand::Kind::close_source, node);
+}
+
+std::size_t OrderingPipeline::command(ShardCommand::Kind kind, NodeId node) {
   Shard& shard = *shards_[shard_of_node(node, shards_.size())];
   if (threads_running_.load(std::memory_order_acquire)) {
     {
       std::lock_guard<std::mutex> lk(shard.cmd_mutex);
-      shard.removals.push_back(node);
+      shard.commands.push_back(ShardCommand{kind, node, shard.submitted});
     }
     signal_shard(shard);
-    return 0;  // drained asynchronously; lands in stats().oob_records
+    return 0;  // applied asynchronously; drains land in stats().oob_records
   }
   std::lock_guard<std::mutex> lk(shard.state_mutex);
-  shard.oob_mode = true;
-  const std::size_t drained = shard.sorter->remove_node(node);
-  shard.oob_mode = false;
-  return drained;
+  return apply_command(shard, ShardCommand{kind, node, shard.fed});
+}
+
+std::size_t OrderingPipeline::apply_command(Shard& shard, const ShardCommand& cmd) {
+  switch (cmd.kind) {
+    case ShardCommand::Kind::open_source:
+      shard.sorter->open_source(cmd.node);
+      return 0;
+    case ShardCommand::Kind::close_source:
+      shard.sorter->close_source(cmd.node);
+      return 0;
+    case ShardCommand::Kind::remove_node: {
+      shard.oob_mode = true;
+      const std::size_t drained = shard.sorter->remove_node(cmd.node);
+      shard.oob_mode = false;
+      return drained;
+    }
+  }
+  return 0;
+}
+
+void OrderingPipeline::feed_sorter(Shard& shard) {
+  std::vector<ShardCommand> commands;
+  {
+    std::lock_guard<std::mutex> lk(shard.cmd_mutex);
+    commands.swap(shard.commands);
+  }
+  // Every command taken here was queued after the records it counts were
+  // pushed into the input lane, so draining the lane reaches all of them.
+  std::size_t next = 0;
+  sensors::Record record;
+  for (;;) {
+    while (next < commands.size() && commands[next].after <= shard.fed) {
+      (void)apply_command(shard, commands[next++]);
+    }
+    if (!shard.input.try_pop(record)) break;
+    ++shard.fed;
+    Status st = shard.sorter->push(std::move(record));
+    if (!st) {
+      BRISK_LOG_WARN << "shard sorter push failed: " << st.to_string();
+    }
+  }
+  for (; next < commands.size(); ++next) (void)apply_command(shard, commands[next]);
+  shard.source_floor.store(
+      shard.sorter->has_sources() ? shard.sorter->source_floor() : kNoSources,
+      std::memory_order_release);
+}
+
+TimeMicros OrderingPipeline::pipeline_floor() const {
+  TimeMicros floor = kNoSources;
+  for (const auto& shard : shards_) {
+    const TimeMicros cell = shard->source_floor.load(std::memory_order_acquire);
+    if (cell < floor) floor = cell;
+  }
+  return floor == kNoSources ? OnlineSorter::kNoFloor : floor;
 }
 
 Status OrderingPipeline::drain() {
@@ -244,12 +321,8 @@ Status OrderingPipeline::drain() {
     }
     for (ShardOutput& spilled : shard.spill) tails[i].push_back(std::move(spilled));
     shard.spill.clear();
-    sensors::Record record;
-    while (shard.input.try_pop(record)) {
-      Status st = shard.sorter->push(std::move(record));
-      if (!st) return st;
-    }
     shard.collect = &tails[i];
+    feed_sorter(shard);
     shard.sorter->flush_all();
     shard.collect = nullptr;
     shard.flushed.store(true, std::memory_order_release);
@@ -366,27 +439,14 @@ void OrderingPipeline::push_output(Shard& shard, ShardOutput out) {
 }
 
 TimeMicros OrderingPipeline::shard_cycle(Shard& shard) {
-  std::vector<NodeId> removals;
-  {
-    std::lock_guard<std::mutex> lk(shard.cmd_mutex);
-    removals.swap(shard.removals);
-  }
-  for (NodeId node : removals) {
-    shard.oob_mode = true;
-    (void)shard.sorter->remove_node(node);
-    shard.oob_mode = false;
-  }
-  sensors::Record record;
-  while (shard.input.try_pop(record)) {
-    Status st = shard.sorter->push(std::move(record));
-    if (!st) {
-      BRISK_LOG_WARN << "shard sorter push failed: " << st.to_string();
-    }
-  }
-  shard.sorter->service();
-  // Publish after servicing: everything at or below now - T has left the
-  // sorter, so future in-order emissions are strictly above the watermark.
-  const TimeMicros wm = clock_.now() - shard.sorter->current_frame();
+  feed_sorter(shard);
+  const TimeMicros floor = pipeline_floor();
+  shard.sorter->service(floor);
+  // Publish after servicing: everything at or below max(now - T, floor) has
+  // left the sorter, so future in-order emissions are above the watermark
+  // (or tie it). The floor spans every shard's sources, so a shard without
+  // one does not hold the merge for T.
+  const TimeMicros wm = shard_watermark(*shard.sorter, clock_.now(), floor);
   if (wm > shard.watermark.load(std::memory_order_relaxed)) {
     shard.watermark.store(wm, std::memory_order_release);
   }
@@ -632,6 +692,7 @@ SorterStats OrderingPipeline::sorter_stats() const {
     if (s.max_lateness_us > total.max_lateness_us) total.max_lateness_us = s.max_lateness_us;
     total.total_delay_us += s.total_delay_us;
     total.late_drops += s.late_drops;
+    total.floor_releases += s.floor_releases;
   }
   return total;
 }

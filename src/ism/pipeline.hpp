@@ -13,7 +13,10 @@
 //    a timestamp-ordered stream into a bounded SPSC lane and publishes a
 //    monotone *watermark* — a promise that, barring genuinely late records
 //    (which already count as out-of-order and raise T), its future in-order
-//    emissions sit above `now - T`.
+//    emissions sit above `max(now - T, floor)` (or tie it). The floor is
+//    OnlineSorter's source floor taken over every shard's open sources (the
+//    nodes that promised timestamp order), so the sharded output releases
+//    what one global sorter would.
 //  * one *merger*. A k-way heap merge across the shard lanes, keyed
 //    (timestamp, node) exactly like the per-shard merge heaps, so the merged
 //    stream is byte-identical to what one global sorter would produce. A
@@ -120,6 +123,12 @@ class OrderingPipeline {
   /// stats().oob_records once the shard processes the command.
   std::size_t remove_node(NodeId node);
 
+  /// `node`'s session promised timestamp order (HELLO capability): its
+  /// sorter gates the source floor on it (OnlineSorter::open_source).
+  void open_source(NodeId node);
+  /// `node`'s stream ended cleanly: it stops gating the floor.
+  void close_source(NodeId node);
+
   /// Shutdown path: stops the worker threads, then deterministically
   /// flushes every shard and k-way merges the remainders — identical
   /// output whatever the shard count. The pipeline stays usable afterwards
@@ -196,6 +205,17 @@ class OrderingPipeline {
   };
   struct Shard;
 
+  /// A per-node sorter command from the ordering thread. Sharded, it waits
+  /// in the shard's command list and is applied once the shard has fed its
+  /// sorter the `after` input records submitted before it, so a command
+  /// never overtakes the node's records (nor they it).
+  struct ShardCommand {
+    enum class Kind { open_source, close_source, remove_node };
+    Kind kind;
+    NodeId node;
+    std::uint64_t after;
+  };
+
   /// One ordered-ingress lane. The queue is guarded by merger_mutex_; the
   /// watermark and flushed flag are atomics so the merge can read them
   /// without extra synchronization points.
@@ -209,6 +229,20 @@ class OrderingPipeline {
   void start_threads();
   void stop_threads();
   void shard_loop(Shard& shard);
+  /// Routes a command to `node`'s shard: queued behind the records already
+  /// submitted when threaded, applied at once inline. Returns what
+  /// apply_command returns (inline) or 0.
+  std::size_t command(ShardCommand::Kind kind, NodeId node);
+  /// Applies one command to the shard's sorter; returns the records an
+  /// out-of-band removal drained. Requires the shard's state mutex.
+  std::size_t apply_command(Shard& shard, const ShardCommand& cmd);
+  /// Feeds the shard's input lane into its sorter, applying each queued
+  /// command at its place in the record stream, then publishes the shard's
+  /// source floor. Requires the state mutex.
+  void feed_sorter(Shard& shard);
+  /// The source floor over every shard's open sources (OnlineSorter's
+  /// rule, across shards); kNoFloor while none is open.
+  [[nodiscard]] TimeMicros pipeline_floor() const;
   /// Commands + input drain + sorter service + watermark publish. Requires
   /// the shard's state mutex. Returns the sorter's next-due hint.
   TimeMicros shard_cycle(Shard& shard);

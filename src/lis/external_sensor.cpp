@@ -14,6 +14,8 @@ tp::LinkConfig ExsCore::make_link_config(const ExsConfig& config) {
   tp::LinkConfig link;
   link.node = config.node;
   link.incarnation = config.incarnation;
+  // drain_rings releases each node's records oldest-first.
+  link.capabilities = tp::kCapabilityTimestampOrdered;
   link.replay_batches = config.replay_buffer_batches;
   link.replay_bytes = config.replay_buffer_bytes;
   return link;

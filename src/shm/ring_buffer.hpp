@@ -98,4 +98,27 @@ class RingBuffer {
   std::uint8_t* data_ = nullptr;
 };
 
+/// Zeroed heap memory for a ring or a MultiRing that lives in one process
+/// (tests, calibration), 64-byte aligned as RingBuffer::Header requires.
+/// Shared regions are page-aligned already.
+class RingMemory {
+ public:
+  explicit RingMemory(std::size_t bytes = 0) { resize(bytes); }
+  void resize(std::size_t bytes) {
+    lines_.resize((bytes + sizeof(Line) - 1) / sizeof(Line));
+    bytes_ = bytes;
+  }
+  [[nodiscard]] std::uint8_t* data() noexcept {
+    return reinterpret_cast<std::uint8_t*>(lines_.data());
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return bytes_; }
+
+ private:
+  struct alignas(64) Line {
+    std::uint8_t bytes[64];
+  };
+  std::vector<Line> lines_;
+  std::size_t bytes_ = 0;
+};
+
 }  // namespace brisk::shm

@@ -80,10 +80,16 @@ enum class MsgType : std::uint32_t {
 /// order and carry watermarks, so the receiver may bypass its sorter shards
 /// and feed the k-way merge directly.
 inline constexpr std::uint32_t kCapabilityOrderedStream = 1u << 0;
+/// This node sends its records in timestamp order, so the receiver may
+/// release other nodes' records once this node's stream has passed them
+/// (the sorter's source floor) instead of holding them for the full delay
+/// window T. Every EXS sets it.
+inline constexpr std::uint32_t kCapabilityTimestampOrdered = 1u << 1;
 /// Every capability bit this build understands. A HELLO carrying unknown
 /// bits is malformed: capabilities change how the peer must treat the
 /// stream, so they cannot be ignored safely.
-inline constexpr std::uint32_t kKnownCapabilities = kCapabilityOrderedStream;
+inline constexpr std::uint32_t kKnownCapabilities =
+    kCapabilityOrderedStream | kCapabilityTimestampOrdered;
 
 struct Hello {
   NodeId node = 0;

@@ -38,7 +38,7 @@ class ShmConsumerTest : public ::testing::Test {
     sink_ = std::make_unique<ism::ShmSink>(ring_);
     consumer_ = std::make_unique<consumers::ShmConsumer>(ring_);
   }
-  std::vector<std::uint8_t> memory_;
+  shm::RingMemory memory_;
   shm::RingBuffer ring_;
   std::unique_ptr<ism::ShmSink> sink_;
   std::unique_ptr<consumers::ShmConsumer> consumer_;

@@ -186,7 +186,7 @@ class FlowControlProperty : public ::testing::TestWithParam<FlowParam> {
   /// enters paced mode.
   static RunResult run(const FlowParam& param, std::uint32_t window_records) {
     RunResult result;
-    std::vector<std::uint8_t> memory(shm::MultiRing::region_size(2, 256 * 1024));
+    shm::RingMemory memory(shm::MultiRing::region_size(2, 256 * 1024));
     auto rings = shm::MultiRing::init(memory.data(), 2, 256 * 1024);
     EXPECT_TRUE(rings.is_ok());
     clk::ManualClock clock(1'000'000);
@@ -371,7 +371,7 @@ TEST_P(FlowControlProperty, ReplayAfterReconnectRespectsReopenedWindow) {
   // A dedicated deterministic scenario on top of the randomized ones:
   // build up unacked batches, drop the link, shrink the window, and watch
   // the go-back-N replay obey the smaller grant.
-  std::vector<std::uint8_t> memory(shm::MultiRing::region_size(1, 64 * 1024));
+  shm::RingMemory memory(shm::MultiRing::region_size(1, 64 * 1024));
   auto rings = shm::MultiRing::init(memory.data(), 1, 64 * 1024);
   ASSERT_TRUE(rings.is_ok());
   clk::ManualClock clock(1'000'000);

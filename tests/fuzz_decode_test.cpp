@@ -372,7 +372,7 @@ struct ExsSession {
 
   static constexpr std::uint64_t kIncarnation = 77;
 
-  std::vector<std::uint8_t> memory;
+  shm::RingMemory memory;
   clk::ManualClock clock;
   std::vector<ByteBuffer> sent;
   std::unique_ptr<lis::ExsCore> core;
@@ -682,9 +682,27 @@ TEST(FederationWireTest, HelloCapabilityTailTruncationNeverVanishes) {
   }
 }
 
+TEST(FederationWireTest, TimestampOrderedHelloRoundTrips) {
+  for (const std::uint32_t capabilities :
+       {tp::kCapabilityTimestampOrdered,
+        tp::kCapabilityTimestampOrdered | tp::kCapabilityOrderedStream}) {
+    ByteBuffer wire;
+    xdr::Encoder enc(wire);
+    tp::put_type(tp::MsgType::hello, enc);
+    tp::encode_hello({1000, tp::kProtocolVersion, 77, capabilities}, enc);
+    xdr::Decoder dec(wire.view());
+    ASSERT_TRUE(tp::peek_type(dec).is_ok());
+    auto back = tp::decode_hello(dec);
+    ASSERT_TRUE(back.is_ok()) << back.status().to_string();
+    EXPECT_EQ(back.value().node, 1000u);
+    EXPECT_EQ(back.value().incarnation, 77u);
+    EXPECT_EQ(back.value().capabilities, capabilities);
+  }
+}
+
 TEST(FederationWireTest, UnknownHelloCapabilityBitsAreRejected) {
   for (const std::uint32_t capabilities :
-       {std::uint32_t{1} << 1, std::uint32_t{1} << 31,
+       {std::uint32_t{1} << 2, std::uint32_t{1} << 31,
         tp::kCapabilityOrderedStream | (std::uint32_t{1} << 5), ~std::uint32_t{0}}) {
     ByteBuffer wire;
     xdr::Encoder enc(wire);

@@ -34,7 +34,7 @@ class GeneratedNoticeTest : public ::testing::Test {
     return std::move(record).value();
   }
 
-  std::vector<std::uint8_t> memory_;
+  shm::RingMemory memory_;
   shm::RingBuffer ring_;
   clk::ManualClock clock_{5'000'000};
   std::unique_ptr<sensors::Sensor> sensor_;

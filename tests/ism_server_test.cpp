@@ -63,6 +63,24 @@ std::vector<IngestMode> ingest_modes() {
   };
 }
 
+/// Mutex-guarded record log shared with the server thread's sink.
+struct DeliveredLog {
+  std::mutex mutex;
+  std::vector<sensors::Record> records;
+  void add(const sensors::Record& r) {
+    std::lock_guard<std::mutex> lock(mutex);
+    records.push_back(r);
+  }
+  std::size_t size() {
+    std::lock_guard<std::mutex> lock(mutex);
+    return records.size();
+  }
+  sensors::Record at(std::size_t i) {
+    std::lock_guard<std::mutex> lock(mutex);
+    return records.at(i);
+  }
+};
+
 class IsmServerTest : public ::testing::TestWithParam<IngestMode> {
  protected:
   void SetUp() override {
@@ -124,24 +142,6 @@ class IsmServerTest : public ::testing::TestWithParam<IngestMode> {
     }
     return false;
   }
-
-  /// Mutex-guarded record log shared with the server thread's sink.
-  struct DeliveredLog {
-    std::mutex mutex;
-    std::vector<sensors::Record> records;
-    void add(const sensors::Record& r) {
-      std::lock_guard<std::mutex> lock(mutex);
-      records.push_back(r);
-    }
-    std::size_t size() {
-      std::lock_guard<std::mutex> lock(mutex);
-      return records.size();
-    }
-    sensors::Record at(std::size_t i) {
-      std::lock_guard<std::mutex> lock(mutex);
-      return records.at(i);
-    }
-  };
 
   bool wait_for_delivery(std::size_t count, TimeMicros timeout = 2'000'000) {
     const TimeMicros deadline = monotonic_micros() + timeout;
@@ -271,6 +271,120 @@ TEST_P(IsmServerTest, EmptyFrameDropsConnection) {
 }
 
 INSTANTIATE_TEST_SUITE_P(IngestModes, IsmServerTest, ::testing::ValuesIn(ingest_modes()),
+                         ingest_mode_name);
+
+// ---- source floor ----------------------------------------------------------------------
+//
+// Two sessions promise timestamp order (HELLO kCapabilityTimestampOrdered),
+// one of them silent; a third peer sends without the bit. The clock stands
+// still, so the delay window T never expires: the first session's records
+// wait until the silent one sends, or says BYE, and the floor releases
+// everything up to the first session's high-water mark. The bit-less peer
+// is silent too and never holds the floor.
+
+class IsmSourceFloorTest : public ::testing::TestWithParam<IngestMode> {
+ protected:
+  static constexpr TimeMicros kNow = 1'000'000'000;
+  static constexpr TimeMicros kBase = kNow - 1'000'000;
+
+  void SetUp() override {
+    IsmConfig config;
+    config.select_timeout_us = 2'000;
+    config.enable_sync = false;
+    config.sorter.initial_frame_us = 10'000'000;
+    config.sorter.max_frame_us = 10'000'000;
+    config.sorter.adaptive = false;
+    config.poller = GetParam().poller;
+    config.reader_threads = GetParam().reader_threads;
+    config.sorter_shards = GetParam().sorter_shards;
+    auto delivered = delivered_;
+    auto sink = std::make_shared<CallbackSink>([delivered](const sensors::Record& r) {
+      if (r.node <= 3) delivered->add(r);
+    });
+    auto ism = Ism::start(config, clock_, sink);
+    ASSERT_TRUE(ism.is_ok()) << ism.status().to_string();
+    ism_ = std::move(ism).value();
+    server_ = std::thread([this] { (void)ism_->run(); });
+  }
+
+  void TearDown() override {
+    ism_->stop();
+    server_.join();
+  }
+
+  net::TcpSocket join(NodeId node, std::uint32_t capabilities) {
+    auto socket = net::TcpSocket::connect("127.0.0.1", ism_->port());
+    EXPECT_TRUE(socket.is_ok());
+    ByteBuffer out;
+    xdr::Encoder enc(out);
+    tp::put_type(tp::MsgType::hello, enc);
+    tp::encode_hello({node, tp::kProtocolVersion, 1, capabilities}, enc);
+    EXPECT_TRUE(net::write_frame(socket.value(), out.view()));
+    EXPECT_TRUE(net::read_frame(socket.value()).is_ok()) << "hello_ack";
+    return std::move(socket).value();
+  }
+
+  static void send_records(net::TcpSocket& socket, NodeId node,
+                           std::initializer_list<TimeMicros> offsets) {
+    tp::BatchBuilder builder(node);
+    for (TimeMicros offset : offsets) {
+      sensors::Record record;
+      record.sensor = 1;
+      record.timestamp = kBase + offset;
+      record.fields = {sensors::Field::i32(7)};
+      ASSERT_TRUE(builder.add_record(record));
+    }
+    ByteBuffer payload = builder.finish();
+    ASSERT_TRUE(net::write_frame(socket, payload.view()));
+  }
+
+  void check_release_after(bool silent_sends) {
+    const std::uint32_t ordered = tp::kCapabilityTimestampOrdered;
+    net::TcpSocket first = join(1, ordered);
+    net::TcpSocket silent = join(2, ordered);
+    net::TcpSocket plain = join(3, 0);
+    send_records(first, 1, {10, 20, 30});
+    send_records(plain, 3, {15});
+    const TimeMicros deadline = monotonic_micros() + 2'000'000;
+    while (ism_->stats().records_received < 4 && monotonic_micros() < deadline) {
+      sleep_micros(1'000);
+    }
+    ASSERT_EQ(ism_->stats().records_received, 4u);
+    sleep_micros(50'000);  // many loop and shard cycles
+    EXPECT_EQ(delivered_->size(), 0u) << "the silent session holds the floor";
+
+    if (silent_sends) {
+      send_records(silent, 2, {100});
+    } else {
+      ByteBuffer bye;
+      xdr::Encoder enc(bye);
+      tp::put_type(tp::MsgType::bye, enc);
+      ASSERT_TRUE(net::write_frame(silent, bye.view()));
+    }
+    const TimeMicros release_deadline = monotonic_micros() + 2'000'000;
+    while (delivered_->size() < 4 && monotonic_micros() < release_deadline) {
+      sleep_micros(1'000);
+    }
+    ASSERT_EQ(delivered_->size(), 4u);
+    EXPECT_EQ(delivered_->at(0).timestamp, kBase + 10);
+    EXPECT_EQ(delivered_->at(1).timestamp, kBase + 15);
+    EXPECT_EQ(delivered_->at(1).node, 3u);
+    EXPECT_EQ(delivered_->at(2).timestamp, kBase + 20);
+    EXPECT_EQ(delivered_->at(3).timestamp, kBase + 30);
+    EXPECT_EQ(ism_->sorter_stats().floor_releases, 4u);
+  }
+
+  clk::ManualClock clock_{kNow};  // never moves: T cannot expire
+  std::shared_ptr<DeliveredLog> delivered_ = std::make_shared<DeliveredLog>();
+  std::unique_ptr<Ism> ism_;
+  std::thread server_;
+};
+
+TEST_P(IsmSourceFloorTest, SilentSessionHoldsRecordsUntilItSends) { check_release_after(true); }
+
+TEST_P(IsmSourceFloorTest, SilentSessionHoldsRecordsUntilItsBye) { check_release_after(false); }
+
+INSTANTIATE_TEST_SUITE_P(IngestModes, IsmSourceFloorTest, ::testing::ValuesIn(ingest_modes()),
                          ingest_mode_name);
 
 // ---- outbox stall classification -------------------------------------------------------

@@ -240,7 +240,7 @@ class ExsCoreTest : public ::testing::Test {
     return out;
   }
 
-  std::vector<std::uint8_t> memory_;
+  shm::RingMemory memory_;
   shm::MultiRing rings_;
   clk::ManualClock clock_{1'000'000};
   ExsConfig config_;
@@ -636,7 +636,7 @@ class PreemptedClock final : public clk::Clock {
 
 TEST(ExsMergeStressTest, TwoProducersDrainOnceInRingOrderWithCountedInversions) {
   constexpr std::int32_t kPreempted = 20'000;
-  std::vector<std::uint8_t> memory(shm::MultiRing::region_size(2, 64 * 1024));
+  shm::RingMemory memory(shm::MultiRing::region_size(2, 64 * 1024));
   auto rings = shm::MultiRing::init(memory.data(), 2, 64 * 1024);
   ASSERT_TRUE(rings.is_ok());
   std::vector<shm::RingBuffer> producer_rings;

@@ -163,7 +163,7 @@ TEST(MetricsRecordTest, ShmSinkRoundTripByteIdentical) {
   auto encoded = ism::encode_output_record(record);
   ASSERT_TRUE(encoded.is_ok());
 
-  std::vector<std::uint8_t> memory(shm::RingBuffer::region_size(4096));
+  shm::RingMemory memory(shm::RingBuffer::region_size(4096));
   auto ring = shm::RingBuffer::init(memory.data(), 4096);
   ASSERT_TRUE(ring.is_ok());
   ism::ShmSink sink(ring.value());

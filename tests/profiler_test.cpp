@@ -86,7 +86,7 @@ class ProfilerTest : public ::testing::Test {
     return std::move(record).value();
   }
 
-  std::vector<std::uint8_t> memory_;
+  shm::RingMemory memory_;
   shm::RingBuffer ring_;
   clk::ManualClock clock_{1'000'000};
   std::unique_ptr<sensors::Sensor> sensor_;

@@ -283,7 +283,7 @@ class SensorTest : public ::testing::Test {
     return std::move(record).value();
   }
 
-  std::vector<std::uint8_t> memory_;
+  shm::RingMemory memory_;
   shm::RingBuffer ring_;
   clk::ManualClock clock_{1'000'000};
   std::unique_ptr<Sensor> sensor_;

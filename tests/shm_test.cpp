@@ -84,7 +84,7 @@ class RingBufferTest : public ::testing::Test {
     ASSERT_TRUE(ring.is_ok()) << ring.status().to_string();
     ring_ = ring.value();
   }
-  std::vector<std::uint8_t> memory_;
+  shm::RingMemory memory_;
   RingBuffer ring_;
 };
 
@@ -257,7 +257,8 @@ TEST_F(RingBufferTest, StatsAccumulate) {
 
 TEST_F(RingBufferTest, AttachValidatesMagic) {
   make_ring(256);
-  std::vector<std::uint8_t> garbage(RingBuffer::region_size(256), 0x77);
+  RingMemory garbage(RingBuffer::region_size(256));
+  std::memset(garbage.data(), 0x77, garbage.size());
   EXPECT_EQ(RingBuffer::attach(garbage.data(), garbage.size()).status().code(),
             Errc::malformed);
   EXPECT_TRUE(RingBuffer::attach(memory_.data(), memory_.size()).is_ok());
@@ -272,7 +273,7 @@ TEST_F(RingBufferTest, AttachRejectsTruncatedRegion) {
 }
 
 TEST_F(RingBufferTest, InitRejectsTinyCapacity) {
-  std::vector<std::uint8_t> mem(RingBuffer::region_size(16));
+  RingMemory mem(RingBuffer::region_size(16));
   EXPECT_EQ(RingBuffer::init(mem.data(), 16).status().code(), Errc::invalid_argument);
 }
 
@@ -368,7 +369,7 @@ class RingSweep : public ::testing::TestWithParam<RingSweepParam> {};
 
 TEST_P(RingSweep, FillDrainTwiceKeepsIntegrity) {
   const auto [capacity, record_size] = GetParam();
-  std::vector<std::uint8_t> memory(RingBuffer::region_size(capacity));
+  shm::RingMemory memory(RingBuffer::region_size(capacity));
   auto ring = RingBuffer::init(memory.data(), capacity);
   ASSERT_TRUE(ring.is_ok());
 
@@ -414,7 +415,7 @@ INSTANTIATE_TEST_SUITE_P(
 // ---- MultiRing -------------------------------------------------------------------
 
 TEST(MultiRingTest, ClaimSlotsUntilExhausted) {
-  std::vector<std::uint8_t> memory(MultiRing::region_size(3, 256));
+  shm::RingMemory memory(MultiRing::region_size(3, 256));
   auto rings = MultiRing::init(memory.data(), 3, 256);
   ASSERT_TRUE(rings.is_ok());
   EXPECT_EQ(rings.value().claimed_slots(), 0u);
@@ -426,7 +427,7 @@ TEST(MultiRingTest, ClaimSlotsUntilExhausted) {
 }
 
 TEST(MultiRingTest, SlotsAreIndependent) {
-  std::vector<std::uint8_t> memory(MultiRing::region_size(2, 512));
+  shm::RingMemory memory(MultiRing::region_size(2, 512));
   auto rings = MultiRing::init(memory.data(), 2, 512);
   ASSERT_TRUE(rings.is_ok());
   auto ring0 = rings.value().claim_slot();
@@ -452,7 +453,7 @@ TEST(MultiRingTest, SlotsAreIndependent) {
 }
 
 TEST(MultiRingTest, SlotOutOfRangeRejected) {
-  std::vector<std::uint8_t> memory(MultiRing::region_size(2, 256));
+  shm::RingMemory memory(MultiRing::region_size(2, 256));
   auto rings = MultiRing::init(memory.data(), 2, 256);
   ASSERT_TRUE(rings.is_ok());
   EXPECT_EQ(rings.value().slot(0).status().code(), Errc::out_of_range)
@@ -463,7 +464,7 @@ TEST(MultiRingTest, SlotOutOfRangeRejected) {
 }
 
 TEST(MultiRingTest, AttachSeesClaims) {
-  std::vector<std::uint8_t> memory(MultiRing::region_size(4, 256));
+  shm::RingMemory memory(MultiRing::region_size(4, 256));
   auto rings = MultiRing::init(memory.data(), 4, 256);
   ASSERT_TRUE(rings.is_ok());
   ASSERT_TRUE(rings.value().claim_slot().is_ok());
@@ -476,13 +477,46 @@ TEST(MultiRingTest, AttachSeesClaims) {
 }
 
 TEST(MultiRingTest, AttachValidates) {
-  std::vector<std::uint8_t> garbage(1024, 0x13);
+  RingMemory garbage(1024);
+  std::memset(garbage.data(), 0x13, garbage.size());
   EXPECT_EQ(MultiRing::attach(garbage.data(), garbage.size()).status().code(), Errc::malformed);
   EXPECT_EQ(MultiRing::attach(garbage.data(), 4).status().code(), Errc::malformed);
 }
 
+// RingBuffer::Header is alignas(64); a MultiRing in a page-aligned region
+// must keep every slot's header there, whatever the ring capacity.
+TEST(MultiRingTest, SlotRingHeadersAre64ByteAligned) {
+  constexpr std::uint32_t kSlots = 3;
+  for (const std::uint32_t capacity : {256u, 100u, 4104u}) {
+    auto region = SharedRegion::create_anonymous(MultiRing::region_size(kSlots, capacity));
+    ASSERT_TRUE(region.is_ok());
+    auto rings = MultiRing::init(region.value().data(), kSlots, capacity);
+    ASSERT_TRUE(rings.is_ok());
+    for (std::uint32_t i = 0; i < kSlots; ++i) {
+      auto ring = rings.value().claim_slot();
+      ASSERT_TRUE(ring.is_ok());
+      auto record = make_record(8, static_cast<std::uint8_t>(i));
+      ASSERT_TRUE(ring.value().try_push(span_of(record)));
+      // The first record's payload follows the header and its length prefix.
+      ByteSpan view;
+      ASSERT_TRUE(ring.value().peek(view));
+      const auto header = reinterpret_cast<std::uintptr_t>(view.data()) -
+                          RingBuffer::kLengthBytes - sizeof(RingBuffer::Header);
+      EXPECT_EQ(header % 64, 0u) << "capacity " << capacity << ", slot " << i;
+    }
+  }
+}
+
+TEST(MultiRingTest, AttachRejectsTheUnpaddedLayout) {
+  RingMemory memory(MultiRing::region_size(2, 256));
+  ASSERT_TRUE(MultiRing::init(memory.data(), 2, 256).is_ok());
+  const std::uint64_t unpadded_magic = 0x425249534b444952ULL;  // "BRISKDIR"
+  std::memcpy(memory.data(), &unpadded_magic, sizeof unpadded_magic);
+  EXPECT_EQ(MultiRing::attach(memory.data(), memory.size()).status().code(), Errc::malformed);
+}
+
 TEST(MultiRingTest, TotalStatsAggregates) {
-  std::vector<std::uint8_t> memory(MultiRing::region_size(2, 512));
+  shm::RingMemory memory(MultiRing::region_size(2, 512));
   auto rings = MultiRing::init(memory.data(), 2, 512);
   ASSERT_TRUE(rings.is_ok());
   auto ring0 = rings.value().claim_slot();
@@ -497,7 +531,7 @@ TEST(MultiRingTest, TotalStatsAggregates) {
 }
 
 TEST(MultiRingTest, ConcurrentClaimsAreUnique) {
-  std::vector<std::uint8_t> memory(MultiRing::region_size(8, 256));
+  shm::RingMemory memory(MultiRing::region_size(8, 256));
   auto rings = MultiRing::init(memory.data(), 8, 256);
   ASSERT_TRUE(rings.is_ok());
   std::atomic<int> successes{0};

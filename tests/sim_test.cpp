@@ -178,7 +178,7 @@ class WorkloadTest : public ::testing::Test {
     ring_ = ring.value();
     sensor_ = std::make_unique<sensors::Sensor>(ring_, clk::SystemClock::instance());
   }
-  std::vector<std::uint8_t> memory_;
+  shm::RingMemory memory_;
   shm::RingBuffer ring_;
   std::unique_ptr<sensors::Sensor> sensor_;
 };
